@@ -12,13 +12,13 @@ bench-smoke:
 
 # Regenerate the committed serving sweep numbers (BENCH_topk.json):
 # the shard-plane sweep (ns/op, allocs/op, summary-table derives across
-# shard counts, shared versus detached planes), the gather chunk-size
+# shard counts on the shared derived plane), the gather chunk-size
 # sweep, the batch amortization sweep, the snapshot startup sweep
 # (open wall time + first-query latency for build/eager/lazy/mmap at
 # several graph sizes), the instrumentation overhead sweep (warm-cache
-# /query with observability on versus off), and the columnar layout
-# sweep (row-major baseline versus SoA block kernels). -json implies
-# every sweep, so the flags below stay complete automatically.
+# /query with observability on versus off), the distributed, overload
+# and ingest sweeps. -json implies every sweep, so the flags below stay
+# complete automatically.
 bench-json:
 	go run ./cmd/benchkit -exp topk,batch -json BENCH_topk.json
 

@@ -293,7 +293,7 @@ func BenchmarkStoreLoadBlock(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v := int32(i % g.NumNodes())
-		st.LoadBlock(g.Label(v), v, 0)
+		st.OpenList(g.Label(v), v).BlockCols(0)
 	}
 }
 
@@ -445,43 +445,32 @@ func BenchmarkBatchTopK(b *testing.B) {
 	})
 }
 
-// BenchmarkShardPlaneSweep is the shard-count × plane-sharing sweep: the
-// same workload as BenchmarkShardedTopK over {1,2,4,8} shards whose
-// replicas either share the base store's derived-data plane (production
-// path) or carry detached private planes (the pre-plane behavior). Each
+// BenchmarkShardPlaneSweep is the shard-count sweep of the shared
+// derived-data plane: the same workload as BenchmarkShardedTopK over
+// {1,2,4,8} shards whose replicas share the base store's plane. Each
 // sub-benchmark builds a fresh store so the reported tables/op — summary
 // tables derived from the simulated disk, amortized over b.N — counts the
-// configuration's own derives: flat in the shard count when shared,
-// linear when detached. Run with -benchmem: the shared plane also shows
-// up as fewer allocs/op at high shard counts.
+// configuration's own derives, flat in the shard count.
 func BenchmarkShardPlaneSweep(b *testing.B) {
 	setupShardBench(b)
 	queries := shardBenchQueries
 	const k = 1500
-	for _, sharing := range []string{"shared", "detached"} {
-		for _, n := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/shards=%d", sharing, n), func(b *testing.B) {
-				st := store.New(shardBenchDB.c, 0) // fresh derived plane
-				var sdb *shard.DB
-				var err error
-				if sharing == "shared" {
-					sdb, err = shard.New(st, n, shard.LabelBalanced{})
-				} else {
-					sdb, err = shard.NewDetached(st, n, shard.LabelBalanced{})
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sdb.TopK(queries[i%len(queries)].t, k)
-				}
-				b.StopTimer()
-				c := sdb.Counters()
-				b.ReportMetric(float64(c.TablesRead)/float64(b.N), "tables/op")
-				b.ReportMetric(float64(c.TableHits)/float64(b.N), "hits/op")
-			})
-		}
+	for _, n := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("shared/shards=%d", n), func(b *testing.B) {
+			st := store.New(shardBenchDB.c, 0) // fresh derived plane
+			sdb, err := shard.New(st, n, shard.LabelBalanced{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sdb.TopK(queries[i%len(queries)].t, k)
+			}
+			b.StopTimer()
+			c := sdb.Counters()
+			b.ReportMetric(float64(c.TablesRead)/float64(b.N), "tables/op")
+			b.ReportMetric(float64(c.TableHits)/float64(b.N), "hits/op")
+		})
 	}
 }

@@ -28,10 +28,8 @@ import (
 func main() {
 	var (
 		graphPath = flag.String("graph", "", "path to the data graph file")
-		dbPath    = flag.String("db", "", "path to a prepared KTPMTC1 database stream (alternative to -graph)")
-		snapPath  = flag.String("snapshot", "", "path to a KTPMSNAP1/2 snapshot (alternative to -graph/-db; see -snapshot-mode)")
+		snapPath  = flag.String("snapshot", "", "path to a KTPMSNAP1/2 snapshot (alternative to -graph; see -snapshot-mode)")
 		snapMode  = flag.String("snapshot-mode", "mmap", "snapshot table backing: eager, lazy, or mmap")
-		savePath  = flag.String("save", "", "write the prepared KTPMTC1 database stream here")
 		saveSnap  = flag.String("save-snapshot", "", "write a snapshot here (openable eagerly, lazily, or via mmap; see -snapshot-format)")
 		snapFmt   = flag.String("snapshot-format", "v1", "snapshot layout for -save-snapshot: v1 (row-major KTPMSNAP1) or v2 (columnar KTPMSNAP2)")
 		queryStr  = flag.String("query", "", "query tree, e.g. \"a(b,c(d))\"")
@@ -57,8 +55,7 @@ func main() {
 		verifySnapshot(*verify)
 		return
 	}
-	if (*graphPath == "" && *dbPath == "" && *snapPath == "") ||
-		(*queryStr == "" && *savePath == "" && *saveSnap == "") {
+	if (*graphPath == "" && *snapPath == "") || (*queryStr == "" && *saveSnap == "") {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -86,18 +83,6 @@ func main() {
 		defer db.Close()
 		ss, _ := db.SnapshotStats()
 		fmt.Printf("snapshot opened in %v (%s mode, %s format)\n", time.Since(t0).Round(time.Microsecond), ss.Mode, ss.Format)
-	} else if *dbPath != "" {
-		f, err := os.Open(*dbPath)
-		if err != nil {
-			fatalf("open database: %v", err)
-		}
-		t0 := time.Now()
-		db, err = ktpm.OpenDatabase(f, ktpm.DatabaseOptions{})
-		f.Close()
-		if err != nil {
-			fatalf("load database: %v", err)
-		}
-		fmt.Printf("database loaded in %v\n", time.Since(t0).Round(time.Millisecond))
 	} else {
 		f, err := os.Open(*graphPath)
 		if err != nil {
@@ -118,18 +103,19 @@ func main() {
 		fmt.Printf("closure: %d entries in %d tables (theta %.1f, %.1f MB) in %v\n",
 			entries, tables, theta, float64(size)/1e6, time.Since(t0).Round(time.Millisecond))
 	}
-	if *savePath != "" {
-		save(*savePath, db, ktpm.SaveDatabase)
-		fmt.Printf("database stream written to %s\n", *savePath)
-	}
 	if *saveSnap != "" {
-		save(*saveSnap, db, func(w io.Writer, db *ktpm.Database) error {
+		// Crash-atomic: a kill mid-write leaves only a *.tmp sibling
+		// behind, never a torn file, and an existing file at the path
+		// survives any failure intact.
+		if err := fsio.WriteFileAtomic(*saveSnap, func(w io.Writer) error {
 			return ktpm.SaveSnapshotAs(w, db, format)
-		})
+		}); err != nil {
+			fatalf("save %s: %v", *saveSnap, err)
+		}
 		fmt.Printf("%s snapshot written to %s\n", format, *saveSnap)
-	}
-	if *queryStr == "" && (*savePath != "" || *saveSnap != "") {
-		return
+		if *queryStr == "" {
+			return
+		}
 	}
 
 	q, err := db.ParseQuery(*queryStr)
@@ -163,17 +149,6 @@ func main() {
 	}
 	if *count {
 		fmt.Printf("total matches: %d\n", db.CountMatches(q))
-	}
-}
-
-// save writes crash-atomically: a kill mid-write leaves only a *.tmp
-// sibling behind, never a torn file at path, and an existing file at
-// path survives any failure intact.
-func save(path string, db *ktpm.Database, write func(io.Writer, *ktpm.Database) error) {
-	if err := fsio.WriteFileAtomic(path, func(w io.Writer) error {
-		return write(w, db)
-	}); err != nil {
-		fatalf("save %s: %v", path, err)
 	}
 }
 

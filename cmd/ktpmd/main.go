@@ -1,15 +1,14 @@
 // Command ktpmd serves top-k tree-matching queries over HTTP.
 //
-// It loads a data graph (building the closure at startup), a prepared
-// KTPMTC1 database stream (see ktpm -save), or a KTPMSNAP1 snapshot (see
-// ktpm -save-snapshot) — the latter openable lazily or via mmap so the
-// daemon starts serving in O(directory) time instead of re-materializing
-// the whole closure — then answers concurrent queries against the one
+// It loads a data graph (building the closure at startup) or a
+// KTPMSNAP1/2 snapshot (see ktpm -save-snapshot) — the latter openable
+// lazily or via mmap so the daemon starts serving in O(directory) time
+// instead of re-materializing the whole closure — then answers concurrent queries against the one
 // shared database, optionally partitioned across shards that
 // scatter-gather each top-k query:
 //
 //	ktpmd -graph g.txt -addr :8080
-//	ktpmd -db g.ktpmdb -concurrency 8 -cache 4096 -shards 4 -partition label
+//	ktpmd -graph g.txt -concurrency 8 -cache 4096 -shards 4 -partition label
 //	ktpmd -snapshot g.snap -snapshot-mode mmap
 //
 // Beyond the default single-process mode (-role serve), the daemon can
@@ -84,8 +83,7 @@ import (
 func main() {
 	var (
 		graphPath   = flag.String("graph", "", "path to the data graph file")
-		dbPath      = flag.String("db", "", "path to a prepared KTPMTC1 database stream (alternative to -graph)")
-		snapPath    = flag.String("snapshot", "", "path to a KTPMSNAP1/2 snapshot (alternative to -graph/-db; format detected by magic, see -snapshot-mode)")
+		snapPath    = flag.String("snapshot", "", "path to a KTPMSNAP1/2 snapshot (alternative to -graph; format detected by magic, see -snapshot-mode)")
 		snapMode    = flag.String("snapshot-mode", "mmap", "snapshot table backing: eager (decode all at open), lazy (fault tables on demand), or mmap (zero-copy views, falls back to lazy without mmap)")
 		addr        = flag.String("addr", ":8080", "listen address")
 		concurrency = flag.Int("concurrency", 0, "worker pool size (0 = GOMAXPROCS)")
@@ -141,14 +139,8 @@ func main() {
 	logger := newLogger(*logJSON)
 	slog.SetDefault(logger)
 
-	sources := 0
-	for _, p := range []string{*graphPath, *dbPath, *snapPath} {
-		if p != "" {
-			sources++
-		}
-	}
-	if sources != 1 {
-		fmt.Fprintln(os.Stderr, "ktpmd: exactly one of -graph, -db, or -snapshot is required")
+	if (*graphPath == "") == (*snapPath == "") {
+		fmt.Fprintln(os.Stderr, "ktpmd: exactly one of -graph or -snapshot is required")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -205,7 +197,7 @@ func main() {
 		"pid", os.Getpid(),
 	)
 
-	db, startup, err := loadDatabase(logger, *graphPath, *dbPath, *snapPath, mode, *blockSize)
+	db, startup, err := loadDatabase(logger, *graphPath, *snapPath, mode, *blockSize)
 	if err != nil {
 		fatal(logger, "load", err)
 	}
@@ -573,10 +565,8 @@ func servePprof(logger *slog.Logger, addr string) {
 	}
 }
 
-func loadDatabase(logger *slog.Logger, graphPath, dbPath, snapPath string, mode ktpm.SnapshotMode, blockSize int) (*ktpm.Database, server.StartupInfo, error) {
-	opt := ktpm.DatabaseOptions{BlockSize: blockSize}
-	switch {
-	case snapPath != "":
+func loadDatabase(logger *slog.Logger, graphPath, snapPath string, mode ktpm.SnapshotMode, blockSize int) (*ktpm.Database, server.StartupInfo, error) {
+	if snapPath != "" {
 		t0 := time.Now()
 		db, err := ktpm.OpenSnapshot(snapPath, ktpm.SnapshotOptions{Mode: mode, BlockSize: blockSize})
 		if err != nil {
@@ -600,20 +590,6 @@ func loadDatabase(logger *slog.Logger, graphPath, dbPath, snapPath string, mode 
 			SnapshotFormat: ss.Format,
 			OpenMS:         float64(elapsed.Microseconds()) / 1000,
 		}, nil
-	case dbPath != "":
-		f, err := os.Open(dbPath)
-		if err != nil {
-			return nil, server.StartupInfo{}, err
-		}
-		defer f.Close()
-		t0 := time.Now()
-		db, err := ktpm.OpenDatabase(f, opt)
-		if err != nil {
-			return nil, server.StartupInfo{}, fmt.Errorf("load database: %w", err)
-		}
-		elapsed := time.Since(t0)
-		logger.Info("database stream loaded", "elapsed", elapsed.Round(time.Millisecond).String())
-		return db, server.StartupInfo{Source: "db", OpenMS: float64(elapsed.Microseconds()) / 1000}, nil
 	}
 	f, err := os.Open(graphPath)
 	if err != nil {
@@ -625,7 +601,7 @@ func loadDatabase(logger *slog.Logger, graphPath, dbPath, snapPath string, mode 
 		return nil, server.StartupInfo{}, fmt.Errorf("load graph: %w", err)
 	}
 	t0 := time.Now()
-	db, err := ktpm.BuildDatabase(g, opt)
+	db, err := ktpm.BuildDatabase(g, ktpm.DatabaseOptions{BlockSize: blockSize})
 	if err != nil {
 		return nil, server.StartupInfo{}, fmt.Errorf("build database: %w", err)
 	}

@@ -41,13 +41,13 @@ type Entry struct {
 
 // EntrySize is the fixed encoded width of one Entry in every on-disk
 // format this package writes (three little-endian int32s). It is the
-// single source of truth shared by the KTPMTC1 stream codec, the
-// KTPMSNAP1 snapshot writer, and SizeBytes.
+// single source of truth shared by the KTPMSNAP1 snapshot codec and
+// SizeBytes.
 const EntrySize = 12
 
 // TableSource is read access to a closure organized as label-pair tables
 // — the contract the store layout, the run-time graph builder, and the
-// serializers consume. Both the fully in-memory *Closure and the
+// snapshot writers consume. Both the fully in-memory *Closure and the
 // disk-backed *Snapshot implement it. Table may fault data in lazily;
 // TableLen and TableLens answer from the directory without touching
 // entry payloads, so callers that only need sizes stay cheap on lazy
@@ -90,8 +90,6 @@ type Closure struct {
 	// dist is a per-source map used by Distance; nil until the closure is
 	// built with distance lookup enabled.
 	dist []map[int32]int32
-	// colsCache lazily transposes tables into column views (cols.go).
-	colsCache
 }
 
 // Options configures closure construction.

@@ -1,19 +1,14 @@
 package closure
 
-import "sync"
-
 // Cols is a structure-of-arrays view of one label-pair table: lane i of the
 // view is the entry {From[i], To[i], Dist[i]}, and lanes appear in the same
 // canonical (To, Dist, From) order Table returns. The three slices always
 // have equal length and are shared with the source — callers must not
 // modify them. A zero Cols (all slices nil) is the empty table.
 //
-// The point of the type is that the enumeration hot loops only need one or
-// two of the three fields at a time (dist-threshold scans, inList carving,
-// D/E derivation); serving each field as its own contiguous column turns
-// those loops into tight per-column passes instead of 12-byte strided
-// struct walks. KTPMSNAP2 stores tables in exactly this layout, so on an
-// mmap-mode v2 snapshot a Cols is served zero-copy from the mapping.
+// KTPMSNAP2 stores tables in exactly this layout, so on an mmap-mode v2
+// snapshot a Cols is served zero-copy from the mapping, and the store
+// carves its per-target columns from it without a row-major detour.
 type Cols struct {
 	From, To, Dist []int32
 }
@@ -34,91 +29,24 @@ func (c Cols) AppendEntries(dst []Entry) []Entry {
 	return dst
 }
 
-// EntriesToCols transposes a row-major table into freshly allocated
-// columns, preserving order.
-func EntriesToCols(entries []Entry) Cols {
-	if len(entries) == 0 {
-		return Cols{}
-	}
-	c := Cols{
-		From: make([]int32, len(entries)),
-		To:   make([]int32, len(entries)),
-		Dist: make([]int32, len(entries)),
-	}
-	for i, e := range entries {
-		c.From[i] = e.From
-		c.To[i] = e.To
-		c.Dist[i] = e.Dist
-	}
-	return c
-}
-
-// ColumnSource is a TableSource that can additionally serve tables as
-// column views. The store's columnar layout prefers this path: a Snapshot
-// opened on a KTPMSNAP2 file serves real on-disk columns (zero-copy under
-// mmap), while row-major sources transpose on demand. TableCols returns
-// the L^α_β table as columns in canonical (To, Dist, From) lane order; the
-// zero Cols means the table is empty or absent.
+// ColumnSource is a TableSource whose native representation is columns —
+// a Snapshot over a KTPMSNAP2 file. TableCols returns the L^α_β table as
+// columns in canonical (To, Dist, From) lane order; the zero Cols means
+// the table is empty or absent. ColsNative reports whether TableCols is
+// actually served: a Snapshot implements the method set for either
+// format, but only a v2 file has columns to serve.
 type ColumnSource interface {
 	TableSource
+	ColsNative() bool
 	TableCols(alpha, beta int32) Cols
 }
 
-var _ ColumnSource = (*Closure)(nil)
-
-// TableCols returns the L^α_β table as a column view, transposing from the
-// row-major table on first use and caching the result. Safe for concurrent
-// use.
-func (c *Closure) TableCols(alpha, beta int32) Cols {
-	k := pairKey{alpha, beta}
-	c.colsMu.Lock()
-	defer c.colsMu.Unlock()
-	if cols, ok := c.cols[k]; ok {
-		return cols
-	}
-	cols := EntriesToCols(c.tables[k])
-	if c.cols == nil {
-		c.cols = make(map[pairKey]Cols)
-	}
-	c.cols[k] = cols
-	return cols
-}
-
-// nativeColumnar is the optional marker a ColumnSource implements when
-// column views are its primary representation (no row-major detour).
-type nativeColumnar interface{ ColsNative() bool }
-
 // NativeCols returns src as a ColumnSource when column views are its
-// native representation — a Snapshot over a KTPMSNAP2 file. Iteration
-// helpers use it to walk the layout that is already resident: on such a
-// source Table() would materialize and cache a row-major copy of every
-// table touched, while TableCols is (under mmap) a zero-copy view.
+// native representation. Iteration helpers use it to walk the layout that
+// is already resident: on such a source Table() would materialize and
+// cache a row-major copy of every table touched, while TableCols is
+// (under mmap) a zero-copy view. Every other source is walked by rows.
 func NativeCols(src TableSource) (ColumnSource, bool) {
 	cs, ok := src.(ColumnSource)
-	if !ok {
-		return nil, false
-	}
-	n, ok := src.(nativeColumnar)
-	if !ok || !n.ColsNative() {
-		return nil, false
-	}
-	return cs, true
-}
-
-// TableColsOf serves src's L^α_β table as columns: directly when src
-// implements ColumnSource, otherwise by transposing the row-major table.
-// The transpose fallback allocates per call, so hot paths should carve
-// once and keep the result (the store layout does).
-func TableColsOf(src TableSource, alpha, beta int32) Cols {
-	if cs, ok := src.(ColumnSource); ok {
-		return cs.TableCols(alpha, beta)
-	}
-	return EntriesToCols(src.Table(alpha, beta))
-}
-
-// colsCache is embedded in Closure via fields below; kept in this file so
-// the row-major core stays column-agnostic.
-type colsCache struct {
-	colsMu sync.Mutex
-	cols   map[pairKey]Cols
+	return cs, ok && cs.ColsNative()
 }

@@ -1,7 +1,6 @@
 package closure
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -9,25 +8,13 @@ import (
 	"ktpm/internal/graph"
 )
 
-// Serialization of a computed closure, so the offline pre-computation
-// (Table 2's cost) is paid once and reloaded afterwards. The layout is a
-// little-endian binary stream:
-//
-//	magic "KTPMTC1\n"
-//	int64 numTables
-//	per table: int32 alpha, int32 beta, int64 count, count × (From,To,Dist)
-//
-// The graph itself is serialized separately (graph.Encode); Decode
-// validates entry endpoints against the supplied graph.
+// Fixed-width entry and column codecs shared by the snapshot writer and
+// reader (snapshot.go), plus the per-table validation every reader runs
+// before publishing a table.
 //
 // Entries are encoded with the manual fixed-width codec below rather than
-// binary.Write/binary.Read on the []Entry slice: the reflection-based
-// path walks every struct field per element and is several times slower
-// on large closures (see BenchmarkEncode/BenchmarkDecode). The snapshot
-// writer (snapshot.go) shares the same codec, so KTPMTC1 and KTPMSNAP1
-// payload bytes are identical per entry.
-
-var closureMagic = []byte("KTPMTC1\n")
+// binary.Write/binary.Read on the []Entry slice, whose reflection-based
+// path walks every struct field of every element.
 
 // entryChunk is the scratch granularity of the streaming codec: entries
 // are encoded/decoded through a buffer of at most this many, bounding
@@ -68,29 +55,6 @@ func writeEntries(w io.Writer, entries []Entry, buf []byte) ([]byte, error) {
 		}
 		if _, err := w.Write(buf); err != nil {
 			return buf, err
-		}
-		entries = entries[n:]
-	}
-	return buf, nil
-}
-
-// readEntries fills entries from r through buf, chunked like
-// writeEntries.
-func readEntries(r io.Reader, entries []Entry, buf []byte) ([]byte, error) {
-	for len(entries) > 0 {
-		n := len(entries)
-		if n > entryChunk {
-			n = entryChunk
-		}
-		if cap(buf) < n*EntrySize {
-			buf = make([]byte, n*EntrySize)
-		}
-		buf = buf[:n*EntrySize]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return buf, err
-		}
-		for i := range entries[:n] {
-			entries[i] = getEntry(buf[i*EntrySize:])
 		}
 		entries = entries[n:]
 	}
@@ -138,50 +102,9 @@ func decodeInt32ColInto(src []byte, dst []int32) {
 	}
 }
 
-// Encode writes the closure tables of src. Any TableSource serves: a
-// snapshot-backed database can be re-encoded to the KTPMTC1 stream
-// without recomputing the closure (this faults every table on a lazy
-// source).
-func Encode(w io.Writer, src TableSource) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(closureMagic); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, int64(src.NumTables())); err != nil {
-		return err
-	}
-	var err error
-	var buf []byte
-	hdr := make([]byte, 16)
-	src.Tables(func(alpha, beta int32, entries []Entry) bool {
-		// A lazy source swallows fault-time load failures into an empty
-		// table; cross-check the directory so a damaged source cannot
-		// silently encode as a valid-looking but truncated stream.
-		if want := src.TableLen(alpha, beta); len(entries) != want {
-			err = fmt.Errorf("closure: table (%d,%d) loaded %d of %d entries", alpha, beta, len(entries), want)
-			return false
-		}
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(alpha))
-		binary.LittleEndian.PutUint32(hdr[4:8], uint32(beta))
-		binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(entries)))
-		if _, err = bw.Write(hdr); err != nil {
-			return false
-		}
-		if buf, err = writeEntries(bw, entries, buf); err != nil {
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
 // validateEntries checks every entry of one table against the graph:
 // in-range endpoints, positive distance, and labels agreeing with the
-// table's (alpha, beta) directory key. Shared by the KTPMTC1 and
-// KTPMSNAP1 readers.
+// table's (alpha, beta) directory key. Used by the KTPMSNAP1 reader.
 func validateEntries(g *graph.Graph, alpha, beta int32, entries []Entry) error {
 	n := int32(g.NumNodes())
 	for _, e := range entries {
@@ -220,61 +143,4 @@ func validateCols(g *graph.Graph, alpha, beta int32, c Cols) error {
 		}
 	}
 	return nil
-}
-
-// Decode reads a closure for g written by Encode. The distance index is
-// rebuilt when keepDistanceIndex is set.
-func Decode(r io.Reader, g *graph.Graph, keepDistanceIndex bool) (*Closure, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(closureMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("closure: reading magic: %w", err)
-	}
-	if string(magic) != string(closureMagic) {
-		return nil, fmt.Errorf("closure: bad magic %q", magic)
-	}
-	var numTables int64
-	if err := binary.Read(br, binary.LittleEndian, &numTables); err != nil {
-		return nil, err
-	}
-	if numTables < 0 || numTables > int64(g.NumLabels())*int64(g.NumLabels()) {
-		return nil, fmt.Errorf("closure: implausible table count %d", numTables)
-	}
-	c := &Closure{g: g, tables: make(map[pairKey][]Entry, numTables)}
-	if keepDistanceIndex {
-		c.dist = make([]map[int32]int32, g.NumNodes())
-		for i := range c.dist {
-			c.dist[i] = make(map[int32]int32)
-		}
-	}
-	n := int64(g.NumNodes())
-	hdr := make([]byte, 16)
-	var buf []byte
-	for t := int64(0); t < numTables; t++ {
-		if _, err := io.ReadFull(br, hdr); err != nil {
-			return nil, fmt.Errorf("closure: table %d header: %w", t, err)
-		}
-		alpha := int32(binary.LittleEndian.Uint32(hdr[0:4]))
-		beta := int32(binary.LittleEndian.Uint32(hdr[4:8]))
-		count := int64(binary.LittleEndian.Uint64(hdr[8:16]))
-		if count < 0 || count > n*n {
-			return nil, fmt.Errorf("closure: table %d: implausible entry count %d", t, count)
-		}
-		entries := make([]Entry, count)
-		var err error
-		if buf, err = readEntries(br, entries, buf); err != nil {
-			return nil, fmt.Errorf("closure: table %d entries: %w", t, err)
-		}
-		if err := validateEntries(g, alpha, beta, entries); err != nil {
-			return nil, fmt.Errorf("closure: table %d: %w", t, err)
-		}
-		if c.dist != nil {
-			for _, e := range entries {
-				c.dist[e.From][e.To] = e.Dist
-			}
-		}
-		c.tables[pairKey{alpha, beta}] = entries
-		c.numEntries += count
-	}
-	return c, nil
 }

@@ -39,9 +39,9 @@ import (
 //	         table offset is 16-byte aligned, so an mmap of the file can
 //	         serve []Entry views in place (entries need 4-byte alignment)
 //
-// Unlike the KTPMTC1 stream — which must be read front to back — the
-// directory up front lets a reader open the snapshot in O(directory)
-// time and seek (or map) exactly the tables a workload touches.
+// The directory up front lets a reader open the snapshot in O(directory)
+// time and seek (or map) exactly the tables a workload touches, instead
+// of parsing the file front to back.
 //
 // KTPMSNAP2 is the columnar (structure-of-arrays) variant: identical
 // header (magic "KTPMSNAP2\n", version 2) and directory, but each table
@@ -56,10 +56,9 @@ import (
 // so every column starts 16-byte aligned and an mmap of the file serves
 // zero-copy []int32 views per column (colsSpan computes the offsets; lane
 // i across the three columns is entry i, in the same canonical (To, Dist,
-// From) order as v1). Columnar payloads are what make the store's
-// threshold scans, inList carving, and D/E derivation tight per-column
-// passes; v1 files keep opening unchanged, and readers pick the layout by
-// magic alone.
+// From) order as v1). The store carves a v2 table straight from these
+// columns, and a v1 table by one pass over its rows; v1 files keep
+// opening unchanged, and readers pick the layout by magic alone.
 
 var (
 	snapMagic  = []byte("KTPMSNAP1\n")
@@ -93,7 +92,7 @@ type SnapMode int
 
 const (
 	// SnapEager decodes every table into memory at open — the fully
-	// resident behavior of the KTPMTC1 path.
+	// resident behavior.
 	SnapEager SnapMode = iota
 	// SnapLazy reads only the header, graph, and directory at open; a
 	// table's payload is seek-read and decoded the first time it is
@@ -157,9 +156,9 @@ type Snapshot struct {
 	// decoded heap copy. On a v2 file it is a row-major materialization of
 	// the columns, built on demand for TableSource compatibility.
 	tabs []atomic.Pointer[[]Entry]
-	// cols[i] is the published column view of dir[i]. On a v2 file this is
-	// the faulted on-disk layout (zero-copy per column under mmap); on a v1
-	// file it is a cached transpose of the row-major table.
+	// cols[i] is the published column view of dir[i]: the faulted on-disk
+	// layout of a v2 file (zero-copy per column under mmap). Never set on
+	// a v1 file, which has no columns to serve.
 	cols []atomic.Pointer[Cols]
 	mu   sync.Mutex // serializes faults; reads stay lock-free
 
@@ -592,30 +591,15 @@ func (s *Snapshot) load(i int) ([]Entry, error) {
 	return entries, nil
 }
 
-// loadCols faults directory entry i as a column view. On a v2 file this is
-// the on-disk form: under mmap each column is a zero-copy []int32 view
-// over the mapping (column starts are snapTableAlign-aligned by
-// construction, so the reinterpretation is always aligned); in lazy mode
-// the three columns are read and decoded in one ReadAt. On a v1 file the
-// row-major table is faulted first and transposed once. Validation runs
-// per column (validateCols) before the view is published.
+// loadCols faults directory entry i of a v2 file as its on-disk column
+// view: under mmap each column is a zero-copy []int32 view over the
+// mapping (column starts are snapTableAlign-aligned by construction, so
+// the reinterpretation is always aligned); in lazy mode the three columns
+// are read and decoded in one ReadAt. Validation runs per column
+// (validateCols) before the view is published.
 func (s *Snapshot) loadCols(i int) (Cols, error) {
 	if p := s.cols[i].Load(); p != nil {
 		return *p, nil
-	}
-	if s.version != snapVersion2 {
-		entries, err := s.load(i)
-		if err != nil {
-			return Cols{}, err
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if p := s.cols[i].Load(); p != nil {
-			return *p, nil
-		}
-		c := EntriesToCols(entries)
-		s.cols[i].Store(&c)
-		return c, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -732,12 +716,13 @@ func (s *Snapshot) Table(alpha, beta int32) []Entry {
 	return s.table(i)
 }
 
-// TableCols returns the L^α_β table as a column view, faulting it on
-// first use. On a v2 snapshot in mmap mode the columns are zero-copy
-// views over the mapping; on a v1 snapshot they are a cached transpose.
+// TableCols returns the L^α_β table of a v2 snapshot as a column view,
+// faulting it on first use; in mmap mode the columns are zero-copy views
+// over the mapping. A v1 snapshot has no columns (ColsNative is false)
+// and always returns the zero Cols: read it through Table.
 func (s *Snapshot) TableCols(alpha, beta int32) Cols {
 	i := s.find(alpha, beta)
-	if i < 0 {
+	if i < 0 || s.version != snapVersion2 {
 		return Cols{}
 	}
 	return s.tableCols(i)
@@ -787,7 +772,8 @@ func (s *Snapshot) Format() string { return fmt.Sprintf("v%d", s.version) }
 
 // ColsNative reports whether column views are the snapshot's primary
 // representation (KTPMSNAP2): TableCols reads the on-disk columns while
-// Table pays a row-major materialization. See NativeCols.
+// Table pays a row-major materialization. On a v1 file it is false and
+// TableCols serves nothing. See NativeCols.
 func (s *Snapshot) ColsNative() bool { return s.version >= 2 }
 
 // TablesLoaded returns how many tables have been faulted so far — the

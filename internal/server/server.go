@@ -69,8 +69,8 @@ type coordinatorStater interface {
 // verbatim in /stats and /metrics so operators can see what a restart
 // would cost. The zero value reports nothing.
 type StartupInfo struct {
-	// Source is "graph" (closure built at startup), "db" (KTPMTC1
-	// stream), or "snapshot" (KTPMSNAP1/2).
+	// Source is "graph" (closure built at startup) or "snapshot"
+	// (KTPMSNAP1/2).
 	Source string `json:"source"`
 	// SnapshotMode is the effective snapshot backing ("eager", "lazy",
 	// "mmap"); empty for non-snapshot sources.
@@ -950,8 +950,8 @@ type StatsResponse struct {
 	// revision when embedded.
 	Build obs.BuildInfo `json:"build"`
 	// Startup reports how the database was loaded and how long the open
-	// took (ktpmd -graph builds, -db parses the stream, -snapshot opens
-	// in the configured mode).
+	// took (ktpmd -graph builds, -snapshot opens in the configured
+	// mode).
 	Startup StartupInfo `json:"startup"`
 	// Snapshot reports the snapshot backing — on-disk format, effective mode, tables
 	// faulted so far out of the directory total, mapped bytes — when the

@@ -3,26 +3,21 @@ package store
 import (
 	"sort"
 
-	"ktpm/internal/closure"
-	"ktpm/internal/label"
 	"ktpm/internal/obs"
 )
 
-// Columnar (structure-of-arrays) layout, selected by Config.Columnar: the
-// carved image of one (α, β) closure table is a colTab — per-target spans
-// over three shared columns — instead of a map of per-target []InEdge
-// slices. Lists are served as EdgeCols column views, so the enumeration
-// hot loops (distance threshold scans, direct-flag filtering, D/E
-// derivation, wildcard merging) become tight passes over contiguous
-// int32/bool columns the compiler can keep in cache and vectorize,
-// instead of strided walks over 12-byte structs. Query results are
-// byte-identical to the row-major layout; the property tests in
-// cols_test.go and the v1-vs-v2 snapshot tests pin that.
+// The store's structure-of-arrays layout: the carved image of one (α, β)
+// closure table is a colTab — per-target spans over three shared columns.
+// Lists are served as EdgeCols column views, so the enumeration hot loops
+// (distance threshold scans, direct-flag filtering, D/E derivation,
+// wildcard merging) are tight passes over contiguous int32/bool columns
+// the compiler can keep in cache and vectorize.
 
 // EdgeCols is a column view of one incoming list (or one block of it):
-// lane i is the edge {From[i], Dist[i], Direct[i]}, and lanes are sorted
-// by (Dist, From) exactly like the row-major []InEdge. The slices are
-// shared with the carved layout and must not be modified.
+// lane i is the edge {From[i], Dist[i], Direct[i]} — Direct marks entries
+// realized by a single data-graph edge — and lanes are sorted by
+// (Dist, From). The slices are shared with the carved layout and must not
+// be modified.
 type EdgeCols struct {
 	From   []int32
 	Dist   []int32
@@ -35,15 +30,6 @@ func (ec EdgeCols) Len() int { return len(ec.From) }
 // slice returns the [lo, hi) lane sub-view.
 func (ec EdgeCols) slice(lo, hi int) EdgeCols {
 	return EdgeCols{From: ec.From[lo:hi], Dist: ec.Dist[lo:hi], Direct: ec.Direct[lo:hi]}
-}
-
-// appendInEdges materializes the view as row-major edges, for the
-// compatibility paths that still want []InEdge.
-func (ec EdgeCols) appendInEdges(dst []InEdge) []InEdge {
-	for i := range ec.From {
-		dst = append(dst, InEdge{From: ec.From[i], Dist: ec.Dist[i], Direct: ec.Direct[i]})
-	}
-	return dst
 }
 
 // FilterDistGE is the threshold-scan kernel over a distance-sorted
@@ -108,186 +94,48 @@ func (t *colTab) view(v int32) EdgeCols {
 	return EdgeCols{From: t.from[lo:hi], Dist: t.dist[lo:hi], Direct: t.direct[lo:hi]}
 }
 
-// cloneCTabs copies the outer columnar carved-table map (nil-safe);
-// colTabs are immutable once published and are shared.
-func cloneCTabs(p *map[pairKey]*colTab) map[pairKey]*colTab {
-	if p == nil {
-		return make(map[pairKey]*colTab, 16)
+// newColTab allocates the columns of an n-lane carve; set fills them
+// lane by lane and finish closes the last target span.
+func newColTab(n int) *colTab {
+	if n == 0 {
+		return &colTab{}
 	}
-	out := make(map[pairKey]*colTab, len(*p)+1)
-	for k, v := range *p {
-		out[k] = v
+	return &colTab{
+		from:   make([]int32, n),
+		dist:   make([]int32, n),
+		direct: make([]bool, n),
 	}
-	return out
 }
 
-// carveColsLocked is carveLocked for the columnar layout: it faults the
-// (alpha, beta) table from the source as columns (zero-copy from a v2
-// mmap snapshot, a transpose otherwise), copies from/dist into the
-// layout's own columns, computes the direct flags, and indexes target
-// runs into a CSR span table. The run detection is a single pass over the
-// contiguous to[] column. Short loads behave exactly like carveLocked:
-// fault counted, nothing published.
-func (lay *layout) carveColsLocked(alpha, beta int32, ctabs map[pairKey]*colTab) bool {
-	k := pairKey{alpha, beta}
-	cols := closure.TableColsOf(lay.src, alpha, beta)
-	n := cols.Len()
-	if n != lay.src.TableLen(alpha, beta) {
-		lay.faults.Add(1)
-		return false
+// set writes lane i, opening a new target span when to differs from the
+// previous lane's. Lanes must arrive in the closure's canonical
+// (To, Dist, From) order, so each target's lanes are one contiguous,
+// (Dist, From)-sorted run.
+func (t *colTab) set(i int, from, to, dist int32, direct bool) {
+	if i == 0 || to != t.targets[len(t.targets)-1] {
+		t.targets = append(t.targets, to)
+		t.starts = append(t.starts, int32(i))
 	}
-	t := &colTab{}
-	if n > 0 {
-		t.from = make([]int32, n)
-		t.dist = make([]int32, n)
-		t.direct = make([]bool, n)
-		copy(t.from, cols.From)
-		copy(t.dist, cols.Dist)
-		for i := 0; i < n; {
-			to := cols.To[i]
-			j := i + 1
-			for j < n && cols.To[j] == to {
-				j++
-			}
-			t.targets = append(t.targets, to)
-			t.starts = append(t.starts, int32(i))
-			for lane := i; lane < j; lane++ {
-				w, ok := lay.direct[key(cols.From[lane], to)]
-				t.direct[lane] = ok && w == cols.Dist[lane]
-			}
-			i = j
-		}
-		t.starts = append(t.starts, int32(n))
-	}
-	ctabs[k] = t
-	if n > 0 {
-		lay.tablesLoaded.Add(1)
-	}
-	return true
+	t.from[i], t.dist[i], t.direct[i] = from, dist, direct
 }
 
-// colsFor is listFor for the columnar layout: the incoming column view of
-// v from the concrete label alpha, carving the (alpha, l(v)) table on
-// first touch.
-func (lay *layout) colsFor(alpha, v int32, tr *obs.Span) EdgeCols {
-	if alpha < 0 || int(alpha) >= len(lay.byLabel) {
-		return EdgeCols{}
+// finish appends the closing span bound.
+func (t *colTab) finish() {
+	if len(t.from) > 0 {
+		t.starts = append(t.starts, int32(len(t.from)))
 	}
-	k := pairKey{alpha, lay.g.Label(v)}
-	if m := lay.ctabs.Load(); m != nil {
-		if t, ok := (*m)[k]; ok {
-			return t.view(v)
-		}
-	}
-	lay.mu.Lock()
-	m := lay.ctabs.Load()
-	if m != nil {
-		if t, ok := (*m)[k]; ok {
-			lay.mu.Unlock()
-			return t.view(v)
-		}
-	}
-	sp := tr.StartChild("table_fault")
-	sp.SetAttr("op", "carve")
-	sp.SetAttr("alpha", k.alpha)
-	sp.SetAttr("beta", k.beta)
-	ctabs := cloneCTabs(m)
-	ok := lay.carveColsLocked(k.alpha, k.beta, ctabs)
-	if ok {
-		lay.ctabs.Store(&ctabs)
-		lay.maybeDropDirectLocked()
-	}
-	lay.mu.Unlock()
-	sp.End()
-	if !ok {
-		return EdgeCols{}
-	}
-	return ctabs[k].view(v)
 }
 
-// carveTargetsCols is carveTargets for the columnar layout: one clone and
-// publish covering every (α, beta) pair, with the same {allLabels, beta}
-// sentinel discipline.
-func (lay *layout) carveTargetsCols(beta int32, tr *obs.Span) {
-	k := pairKey{allLabels, beta}
-	if m := lay.ctabs.Load(); m != nil {
-		if _, ok := (*m)[k]; ok {
-			return
-		}
-	}
-	lay.mu.Lock()
-	defer lay.mu.Unlock()
-	if m := lay.ctabs.Load(); m != nil {
-		if _, ok := (*m)[k]; ok {
-			return
-		}
-	}
-	sp := tr.StartChild("table_fault")
-	sp.SetAttr("op", "carve_targets")
-	sp.SetAttr("beta", beta)
-	defer sp.End()
-	ctabs := cloneCTabs(lay.ctabs.Load())
-	whole := true
-	for a := range lay.byLabel {
-		if _, ok := ctabs[pairKey{int32(a), beta}]; !ok {
-			whole = lay.carveColsLocked(int32(a), beta, ctabs) && whole
-		}
-	}
-	if whole {
-		ctabs[k] = nil
-	}
-	lay.ctabs.Store(&ctabs)
-	lay.maybeDropDirectLocked()
-}
-
-// materializeAllCols is MaterializeAll for the columnar layout.
-func (lay *layout) materializeAllCols() {
-	lay.mu.Lock()
-	defer lay.mu.Unlock()
-	ctabs := cloneCTabs(lay.ctabs.Load())
-	lay.src.TableLens(func(alpha, beta int32, count int) bool {
-		if _, ok := ctabs[pairKey{alpha, beta}]; !ok {
-			lay.carveColsLocked(alpha, beta, ctabs)
-		}
-		return true
-	})
-	lay.ctabs.Store(&ctabs)
-	lay.maybeDropDirectLocked()
-}
-
-// inListCols is inList for the columnar layout: the full incoming column
-// view of v from label alpha, resolving the wildcard through the shared
-// merged-columns plane with the same faults-window publication guard as
-// the row-major path.
-func (s *Store) inListCols(alpha, v int32, tr *obs.Span) EdgeCols {
-	if alpha != label.Wildcard {
-		return s.lay.colsFor(alpha, v, tr)
-	}
-	if p := s.pl.mergedCols[v].Load(); p != nil {
-		return *p
-	}
-	faultsBefore := s.lay.faults.Load()
-	merged := s.mergeWildcardCols(v, tr)
-	if s.lay.faults.Load() != faultsBefore {
-		return merged
-	}
-	if !s.pl.mergedCols[v].CompareAndSwap(nil, &merged) {
-		return *s.pl.mergedCols[v].Load()
-	}
-	return merged
-}
-
-// mergeWildcardCols derives the all-label incoming column view of v as a
+// mergeAllLabels derives the all-label incoming column view of v as a
 // galloping k-way merge of the per-label spans, which are each already
-// (Dist, From)-sorted. Instead of the row-major path's
-// concatenate-and-sort, each round picks the source whose head lane is
+// (Dist, From)-sorted. Each round picks the source whose head lane is
 // the (Dist, From) minimum and bulk-copies its run of lanes strictly
 // below every other head's distance — found by the FilterDistGE threshold
 // kernel — so long sorted runs move as three column copies. From values
 // are globally unique across sources for a fixed target (a source label
 // determines its table), so the (Dist, From) order is total and the
 // merge deterministic.
-func (s *Store) mergeWildcardCols(v int32, tr *obs.Span) EdgeCols {
+func (s *Store) mergeAllLabels(v int32, tr *obs.Span) EdgeCols {
 	s.lay.carveTargets(s.lay.g.Label(v), tr)
 	var srcs []EdgeCols
 	for a := int32(0); int(a) < s.lay.g.NumLabels(); a++ {

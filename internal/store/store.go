@@ -24,12 +24,15 @@
 //
 //   - layout: the closure image (incoming lists, label index, graph),
 //     shared by everyone. The incoming lists derive from a
-//     closure.TableSource: New materializes every table up front
-//     (today's fully-resident behavior), while NewFromSource faults a
-//     (α, β) table in the first time any query touches it — the path
-//     lazy and mmap snapshots ride, where the source serves entries
-//     straight off the file. Once carved, a table's lists are published
-//     copy-on-write and read lock-free forever after.
+//     closure.TableSource and are stored column-wise (cols.go): each
+//     carved (α, β) table is per-target spans over contiguous
+//     from[]/dist[]/direct[] columns, served as EdgeCols views. New
+//     materializes every table up front (the fully-resident behavior),
+//     while NewFromConfig faults a (α, β) table in the first time any
+//     query touches it — the path lazy and mmap snapshots ride, where
+//     the source serves entries straight off the file. Once carved, a
+//     table's columns are published copy-on-write and read lock-free
+//     forever after.
 //   - plane: the derived data — D/E summary tables and wildcard-merged
 //     incoming lists. In the paper these are materialized on disk next to
 //     the closure, so deriving one is offline work paid once; here each
@@ -44,7 +47,7 @@
 package store
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -59,14 +62,6 @@ import (
 // at laptop scale, preserving the paper's regime where a list spans many
 // blocks and the trigger can stop after a prefix.
 const DefaultBlockSize = 16
-
-// InEdge is one incoming closure edge to a fixed target node.
-type InEdge struct {
-	From int32
-	Dist int32
-	// Direct marks entries realized by a single data-graph edge.
-	Direct bool
-}
 
 // DEntry is one D-table row: node V has minimum incoming distance Min
 // (from the table's source label).
@@ -132,33 +127,24 @@ type layout struct {
 	g         *graph.Graph
 	blockSize int
 	src       closure.TableSource
-	// columnar selects the structure-of-arrays carve (cols.go): tables
-	// fault into per-pair colTabs — per-target spans over shared
-	// from[]/dist[]/direct[] columns — instead of per-target []InEdge
-	// maps, and ctabs below replaces tabs. Fixed at construction.
-	columnar bool
 
 	// byLabel[l] lists the nodes with label l, ascending, so table scans
 	// touch only their own rows.
 	byLabel [][]int32
 	// direct[(u<<32)|v] is the weight of the direct data-graph edge u→v,
-	// consulted while carving to set InEdge.Direct. Dropped once every
-	// table is materialized (it only serves future carves).
+	// consulted while carving to set the direct column. Dropped once
+	// every table is materialized (it only serves future carves).
 	direct map[int64]int32
 
 	mu sync.Mutex // serializes carves; readers never take it
-	// tabs maps a carved (α, β) pair to its per-target incoming lists,
-	// each sorted by (Dist, From); an empty inner map is a carved pair
+	// carved maps each carved (α, β) pair to its colTab, whose per-target
+	// spans are sorted by (Dist, From); an empty colTab is a carved pair
 	// with no entries (negative caching), and the sentinel key
-	// {allLabels, β} marks "every (α, β) pair is carved" so wildcard
-	// merges skip the lock. Published copy-on-write: a carve clones the
-	// outer map only — O(carved pairs), never O(lists) — and inner maps
-	// are immutable once published.
-	tabs atomic.Pointer[map[pairKey]map[int32][]InEdge]
-	// ctabs is the columnar-mode counterpart of tabs: carved (α, β) pairs
-	// map to *colTab (nil for the {allLabels, β} sentinel), with the same
-	// copy-on-write publication discipline. Nil outside columnar mode.
-	ctabs atomic.Pointer[map[pairKey]*colTab]
+	// {allLabels, β} (value nil) marks "every (α, β) pair is carved" so
+	// wildcard merges skip the lock. Published copy-on-write: a carve
+	// clones the outer map only — O(carved pairs), never O(lanes) — and
+	// colTabs are immutable once published.
+	carved atomic.Pointer[map[pairKey]*colTab]
 	// faults counts every short carve (a lazy-source load failure),
 	// monotonically. A derivation snapshots it before running and
 	// publishes only if it is unchanged after: any carve it depended on
@@ -180,28 +166,17 @@ type layout struct {
 // table do the work once.
 type plane struct {
 	mu sync.Mutex
-	// merged caches wildcard (all-label) incoming lists, indexed by node.
-	// A fixed-size pointer array rather than a COW map: wildcard derives
-	// touch one node at a time and a query can touch most of the graph,
-	// so per-entry map republication would cost O(V) copying per node —
-	// O(V²) for a graph-wide wildcard — where a slot store is O(1).
-	merged []atomic.Pointer[[]InEdge]
-	// mergedCols is the columnar-mode counterpart of merged: wildcard-
-	// merged column views per node. Nil outside columnar mode.
-	mergedCols []atomic.Pointer[EdgeCols]
-	// dTabs / eTabs hold the derived summary tables, published
+	// merged caches wildcard (all-label) incoming column views, indexed
+	// by node. A fixed-size pointer array rather than a COW map: wildcard
+	// derives touch one node at a time and a query can touch most of the
+	// graph, so per-entry map republication would cost O(V) copying per
+	// node — O(V²) for a graph-wide wildcard — where a slot store is O(1).
+	merged []atomic.Pointer[EdgeCols]
+	// dTables / eTables hold the derived summary tables, published
 	// copy-on-write (table counts are small — one per label pair a
 	// workload touches — so republication cost is negligible).
-	dTabs atomic.Pointer[map[tableKey][]DEntry]
-	eTabs atomic.Pointer[map[tableKey][]EEntry]
-}
-
-func newPlane(numNodes int, columnar bool) *plane {
-	pl := &plane{merged: make([]atomic.Pointer[[]InEdge], numNodes)}
-	if columnar {
-		pl.mergedCols = make([]atomic.Pointer[EdgeCols], numNodes)
-	}
-	return pl
+	dTables atomic.Pointer[map[tableKey][]DEntry]
+	eTables atomic.Pointer[map[tableKey][]EEntry]
 }
 
 // Store is a simulated disk image of one closure: an immutable layout, a
@@ -228,16 +203,12 @@ type tableKey struct {
 
 func key(alpha, v int32) int64 { return int64(alpha)<<32 | int64(uint32(v)) }
 
-// Config parameterizes store construction beyond the block size.
+// Config parameterizes store construction.
 type Config struct {
 	// BlockSize is the entries-per-block unit; 0 means DefaultBlockSize.
 	BlockSize int
-	// Columnar selects the structure-of-arrays layout: tables carve into
-	// per-target spans over contiguous from[]/dist[]/direct[] columns
-	// (cols.go), lists are served as EdgeCols column views, and the D/E
-	// summaries derive by per-column passes. Query results are identical
-	// to the row-major layout; only the in-memory representation and the
-	// kernel shapes differ.
+	// Deprecated: ignored. The columnar layout is the only one; the field
+	// stays only because the frozen perfbench module still sets it.
 	Columnar bool
 }
 
@@ -245,22 +216,16 @@ type Config struct {
 // DefaultBlockSize), materializing every table up front — the behavior
 // an in-memory closure wants, since its entries are resident anyway.
 func New(src closure.TableSource, blockSize int) *Store {
-	s := NewFromSource(src, blockSize)
+	s := NewFromConfig(src, Config{BlockSize: blockSize})
 	s.MaterializeAll()
 	return s
 }
 
-// NewFromSource lays out src with the given block size (0 means
-// DefaultBlockSize) without touching any table payload: a (α, β) table
-// is carved into per-target incoming lists the first time a query asks
-// for one of its lists. Construction cost is O(nodes + edges) — the
-// label index and the direct-edge lookup — never O(closure).
-func NewFromSource(src closure.TableSource, blockSize int) *Store {
-	return NewFromConfig(src, Config{BlockSize: blockSize})
-}
-
-// NewFromConfig is NewFromSource with the full Config: the same lazy
-// carve-on-first-touch construction, in the layout cfg selects.
+// NewFromConfig lays out src without touching any table payload: a
+// (α, β) table is carved into per-target incoming columns the first time
+// a query asks for one of its lists. Construction cost is O(nodes +
+// edges) — the label index and the direct-edge lookup — never
+// O(closure).
 func NewFromConfig(src closure.TableSource, cfg Config) *Store {
 	blockSize := cfg.BlockSize
 	if blockSize <= 0 {
@@ -271,7 +236,6 @@ func NewFromConfig(src closure.TableSource, cfg Config) *Store {
 		g:         g,
 		blockSize: blockSize,
 		src:       src,
-		columnar:  cfg.Columnar,
 		byLabel:   make([][]int32, g.NumLabels()),
 		direct:    make(map[int64]int32),
 	}
@@ -283,64 +247,54 @@ func NewFromConfig(src closure.TableSource, cfg Config) *Store {
 		lay.direct[key(e.From, e.To)] = e.Weight
 		return true
 	})
-	return &Store{lay: lay, pl: newPlane(g.NumNodes(), cfg.Columnar), counters: &Counters{}}
+	pl := &plane{merged: make([]atomic.Pointer[EdgeCols], g.NumNodes())}
+	return &Store{lay: lay, pl: pl, counters: &Counters{}}
 }
-
-// Columnar reports whether the store uses the structure-of-arrays layout.
-func (s *Store) Columnar() bool { return s.lay.columnar }
 
 // MaterializeAll carves every table of the source in one publish, the
 // eager mode. The direct-edge lookup is dropped afterwards: with no
 // carves left to serve it would only hold memory.
 func (s *Store) MaterializeAll() {
 	lay := s.lay
-	if lay.columnar {
-		lay.materializeAllCols()
-		return
-	}
 	lay.mu.Lock()
 	defer lay.mu.Unlock()
-	tabs := cloneTabs(lay.tabs.Load())
+	next := cloneCarved(lay.carved.Load())
 	lay.src.TableLens(func(alpha, beta int32, count int) bool {
-		if _, ok := tabs[pairKey{alpha, beta}]; !ok {
-			lay.carveLocked(alpha, beta, tabs)
+		if _, ok := next[pairKey{alpha, beta}]; !ok {
+			lay.carveTableLocked(alpha, beta, next)
 		}
 		return true
 	})
 	// Pairs outside the source's directory are not negative-cached here;
 	// the first wildcard merge per target label batch-carves them (one
 	// outer-map clone) in carveTargets.
-	lay.tabs.Store(&tabs)
+	lay.carved.Store(&next)
 	lay.maybeDropDirectLocked()
 }
 
 // allLabels is the sentinel alpha marking "every (α, beta) pair is
 // carved" in the carved-table map; no real label is negative, and
-// listFor rejects negative alphas before lookup, so the sentinel can
+// colsFor rejects negative alphas before lookup, so the sentinel can
 // never shadow a real table.
 const allLabels int32 = -1
 
 // carveTargets ensures every (α, beta) table is carved, in one clone and
 // publish — the wildcard merge's fault path. Carving the pairs one
-// listFor miss at a time would take and release the lock once per label
+// colsFor miss at a time would take and release the lock once per label
 // per node on a cold wildcard query.
 func (lay *layout) carveTargets(beta int32, tr *obs.Span) {
 	if beta < 0 || int(beta) >= len(lay.byLabel) {
 		return
 	}
-	if lay.columnar {
-		lay.carveTargetsCols(beta, tr)
-		return
-	}
 	k := pairKey{allLabels, beta}
-	if m := lay.tabs.Load(); m != nil {
+	if m := lay.carved.Load(); m != nil {
 		if _, ok := (*m)[k]; ok {
 			return
 		}
 	}
 	lay.mu.Lock()
 	defer lay.mu.Unlock()
-	if m := lay.tabs.Load(); m != nil {
+	if m := lay.carved.Load(); m != nil {
 		if _, ok := (*m)[k]; ok {
 			return
 		}
@@ -349,78 +303,84 @@ func (lay *layout) carveTargets(beta int32, tr *obs.Span) {
 	sp.SetAttr("op", "carve_targets")
 	sp.SetAttr("beta", beta)
 	defer sp.End()
-	tabs := cloneTabs(lay.tabs.Load())
+	next := cloneCarved(lay.carved.Load())
 	whole := true
 	for a := range lay.byLabel {
-		if _, ok := tabs[pairKey{int32(a), beta}]; !ok {
-			whole = lay.carveLocked(int32(a), beta, tabs) && whole
+		if _, ok := next[pairKey{int32(a), beta}]; !ok {
+			whole = lay.carveTableLocked(int32(a), beta, next) && whole
 		}
 	}
 	// The sentinel claims every (α, beta) pair is resident; a short load
 	// leaves it unset so the next wildcard touch retries the fault.
 	if whole {
-		tabs[k] = nil
+		next[k] = nil
 	}
-	lay.tabs.Store(&tabs)
+	lay.carved.Store(&next)
 	lay.maybeDropDirectLocked()
 }
 
-// cloneTabs copies the outer carved-table map (nil-safe). Inner maps are
+// cloneCarved copies the outer carved-table map (nil-safe). colTabs are
 // immutable once published and are shared, so a clone costs O(carved
-// pairs) regardless of how many lists they hold.
-func cloneTabs(p *map[pairKey]map[int32][]InEdge) map[pairKey]map[int32][]InEdge {
+// pairs) regardless of how many lanes they hold.
+func cloneCarved(p *map[pairKey]*colTab) map[pairKey]*colTab {
 	if p == nil {
-		return make(map[pairKey]map[int32][]InEdge, 16)
+		return make(map[pairKey]*colTab, 16)
 	}
-	out := make(map[pairKey]map[int32][]InEdge, len(*p)+1)
+	out := make(map[pairKey]*colTab, len(*p)+1)
 	for k, v := range *p {
 		out[k] = v
 	}
 	return out
 }
 
-// carveLocked faults the (alpha, beta) table from the source and adds
-// its per-target lists to tabs. Callers hold lay.mu and publish tabs
-// afterwards. Closure tables are sorted by (To, Dist, From): contiguous
-// runs per target node are already in block order. It reports whether
-// the table arrived whole: a lazy source that hits a fault-time load
-// failure serves the table as empty, and caching that as carved would
-// silently drop the table's edges for the process lifetime — a short
-// load leaves the pair uncarved (bumping the fault counter) so a later
-// touch refaults it.
-func (lay *layout) carveLocked(alpha, beta int32, tabs map[pairKey]map[int32][]InEdge) bool {
-	k := pairKey{alpha, beta}
-	entries := lay.src.Table(alpha, beta)
-	if len(entries) != lay.src.TableLen(alpha, beta) {
+// carveTableLocked faults the (alpha, beta) table from the source and
+// adds its colTab to into. Callers hold lay.mu and publish into
+// afterwards. A source whose native form is columns (a v2 snapshot) is
+// carved from TableCols; every other source by one pass over its Table
+// rows. Either way the lanes are written straight into the colTab's own
+// columns, so no transposed copy of the table is ever cached beside it.
+// It reports
+// whether the table arrived whole: a lazy source that hits a fault-time
+// load failure serves the table as empty, and caching that as carved
+// would silently drop the table's edges for the process lifetime — a
+// short load leaves the pair uncarved (bumping the fault counter) so a
+// later touch refaults it.
+func (lay *layout) carveTableLocked(alpha, beta int32, into map[pairKey]*colTab) bool {
+	var t *colTab
+	if cs, ok := closure.NativeCols(lay.src); ok {
+		cols := cs.TableCols(alpha, beta)
+		t = newColTab(cols.Len())
+		for i := range cols.To {
+			t.set(i, cols.From[i], cols.To[i], cols.Dist[i], lay.isDirect(cols.From[i], cols.To[i], cols.Dist[i]))
+		}
+	} else {
+		rows := lay.src.Table(alpha, beta)
+		t = newColTab(len(rows))
+		for i, e := range rows {
+			t.set(i, e.From, e.To, e.Dist, lay.isDirect(e.From, e.To, e.Dist))
+		}
+	}
+	n := len(t.from)
+	if n != lay.src.TableLen(alpha, beta) {
 		lay.faults.Add(1)
 		return false
 	}
-	tab := make(map[int32][]InEdge)
-	for i := 0; i < len(entries); {
-		j := i
-		to := entries[i].To
-		for j < len(entries) && entries[j].To == to {
-			j++
-		}
-		lst := make([]InEdge, 0, j-i)
-		for _, e := range entries[i:j] {
-			w, ok := lay.direct[key(e.From, e.To)]
-			lst = append(lst, InEdge{
-				From:   e.From,
-				Dist:   e.Dist,
-				Direct: ok && w == e.Dist,
-			})
-		}
-		tab[to] = lst
-		i = j
-	}
-	tabs[k] = tab
-	if len(entries) > 0 {
+	t.finish()
+	into[pairKey{alpha, beta}] = t
+	if n > 0 {
 		// Negative carves (no such table in the source) are cached so the
 		// miss never refaults, but only real tables count as loads.
 		lay.tablesLoaded.Add(1)
 	}
 	return true
+}
+
+// isDirect reports whether the closure pair from→to at distance dist is
+// realized by a single data-graph edge — the admission rule for '/'
+// query edges.
+func (lay *layout) isDirect(from, to, dist int32) bool {
+	w, ok := lay.direct[key(from, to)]
+	return ok && w == dist
 }
 
 // maybeDropDirectLocked frees the direct-edge lookup once every real
@@ -432,48 +392,48 @@ func (lay *layout) maybeDropDirectLocked() {
 	}
 }
 
-// listFor returns the incoming list of v from the concrete label alpha,
-// carving the (alpha, l(v)) table on first touch. The steady-state path
-// is one atomic load and two map lookups.
-func (lay *layout) listFor(alpha, v int32, tr *obs.Span) []InEdge {
+// colsFor returns the incoming column view of v from the concrete label
+// alpha, carving the (alpha, l(v)) table on first touch. The steady-state
+// path is one atomic load, one map lookup and a binary search.
+func (lay *layout) colsFor(alpha, v int32, tr *obs.Span) EdgeCols {
 	if alpha < 0 || int(alpha) >= len(lay.byLabel) {
 		// A query-only label interned after the graph was built: no
 		// closure table can exist, and caching the miss would let
 		// adversarial queries grow the carved set without bound.
-		return nil
+		return EdgeCols{}
 	}
 	k := pairKey{alpha, lay.g.Label(v)}
-	if m := lay.tabs.Load(); m != nil {
-		if tab, ok := (*m)[k]; ok {
-			return tab[v]
+	if m := lay.carved.Load(); m != nil {
+		if t, ok := (*m)[k]; ok {
+			return t.view(v)
 		}
 	}
 	lay.mu.Lock()
-	m := lay.tabs.Load()
+	m := lay.carved.Load()
 	if m != nil {
-		if tab, ok := (*m)[k]; ok {
+		if t, ok := (*m)[k]; ok {
 			lay.mu.Unlock()
-			return tab[v]
+			return t.view(v)
 		}
 	}
 	sp := tr.StartChild("table_fault")
 	sp.SetAttr("op", "carve")
 	sp.SetAttr("alpha", k.alpha)
 	sp.SetAttr("beta", k.beta)
-	tabs := cloneTabs(m)
+	next := cloneCarved(m)
 	// A short load (source fault) publishes nothing; the next touch
 	// refaults.
-	ok := lay.carveLocked(k.alpha, k.beta, tabs)
+	ok := lay.carveTableLocked(k.alpha, k.beta, next)
 	if ok {
-		lay.tabs.Store(&tabs)
+		lay.carved.Store(&next)
 		lay.maybeDropDirectLocked()
 	}
 	lay.mu.Unlock()
 	sp.End()
 	if !ok {
-		return nil
+		return EdgeCols{}
 	}
-	return tabs[k][v]
+	return next[k].view(v)
 }
 
 // Replica returns a store sharing s's immutable closure layout AND its
@@ -495,14 +455,6 @@ func (s *Store) WithTrace(sp *obs.Span) *Store {
 		return s
 	}
 	return &Store{lay: s.lay, pl: s.pl, counters: s.counters, trace: sp}
-}
-
-// PrivateReplica returns a store sharing only s's immutable layout, with a
-// fresh derived-data plane of its own: it re-derives every table it
-// touches, the pre-plane behavior. Kept for benchmarks that quantify what
-// the shared plane saves; production paths should use Replica.
-func (s *Store) PrivateReplica() *Store {
-	return &Store{lay: s.lay, pl: newPlane(s.lay.g.NumNodes(), s.lay.columnar), counters: &Counters{}}
 }
 
 // Graph returns the underlying data graph.
@@ -563,33 +515,27 @@ func cowGet[K comparable, V any](p *atomic.Pointer[map[K]V], k K) (V, bool) {
 	return v, ok
 }
 
-// inList returns the full incoming list of v from label alpha, resolving
-// the wildcard by merging all labels. No I/O is counted here; counting
-// happens at block granularity in LoadBlock and at table granularity in
-// LoadD/LoadE. The wildcard merge is derived once process-wide and read
-// lock-free afterwards.
-func (s *Store) inList(alpha, v int32, tr *obs.Span) []InEdge {
-	if s.lay.columnar {
-		// Row-major compatibility view in columnar mode: materialize from
-		// the columns. Kept off the hot paths — enumeration resolves
-		// EdgeCols through OpenList instead.
-		return s.inListCols(alpha, v, tr).appendInEdges(nil)
-	}
+// incoming returns the full incoming column view of v from label alpha,
+// resolving the wildcard by merging all labels. No I/O is counted here;
+// counting happens at block granularity in ListHandle.BlockCols and at
+// table granularity in LoadD/LoadE. The wildcard merge is derived once
+// process-wide and read lock-free afterwards.
+func (s *Store) incoming(alpha, v int32, tr *obs.Span) EdgeCols {
 	if alpha != label.Wildcard {
-		return s.lay.listFor(alpha, v, tr)
+		return s.lay.colsFor(alpha, v, tr)
 	}
 	if p := s.pl.merged[v].Load(); p != nil {
 		return *p
 	}
 	// First-writer-wins, no lock: racing first touches both derive (the
 	// inputs are immutable, so the results are identical) and the loser
-	// adopts the winner's list. Wildcard merges happen per node during
+	// adopts the winner's view. Wildcard merges happen per node during
 	// enumeration, so serializing them behind the plane mutex would make
 	// concurrent cold wildcard queries convoy; a rare duplicated merge is
 	// cheaper. This also keeps table derives (which run under pl.mu and
 	// resolve wildcard lists mid-derive) free of reentrancy concerns.
 	faultsBefore := s.lay.faults.Load()
-	merged := s.mergeWildcard(v, tr)
+	merged := s.mergeAllLabels(v, tr)
 	if s.lay.faults.Load() != faultsBefore {
 		// A carve came up short while this merge ran, so the result may
 		// be missing that table's edges; serve it best-effort but do not
@@ -602,121 +548,43 @@ func (s *Store) inList(alpha, v int32, tr *obs.Span) []InEdge {
 	return merged
 }
 
-// mergeWildcard derives the all-label incoming list of v from the
-// layout, carving any tables not yet faulted (all of v's label's tables
-// in one batch, so a cold wildcard query faults each table once).
-func (s *Store) mergeWildcard(v int32, tr *obs.Span) []InEdge {
-	s.lay.carveTargets(s.lay.g.Label(v), tr)
-	var merged []InEdge
-	for a := int32(0); int(a) < s.lay.g.NumLabels(); a++ {
-		merged = append(merged, s.lay.listFor(a, v, tr)...)
-	}
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].Dist != merged[j].Dist {
-			return merged[i].Dist < merged[j].Dist
-		}
-		return merged[i].From < merged[j].From
-	})
-	return merged
-}
-
 // ListHandle is one resolved incoming list L^α_v: the list is looked up
 // (and its table carved, if cold) exactly once at OpenList, and every
 // block access afterwards reuses the resolution. The enumerator holds one
-// handle per frontier node, which removes the per-block re-resolution
-// NumBlocks/LoadBlock used to pay (each call walked the carved-table maps
-// again for the same pair). Blocks read through the handle charge the
-// opening store's counters exactly like LoadBlock.
+// handle per frontier node, so a multi-block expansion never walks the
+// carved-table maps again for the same pair. Blocks read through the
+// handle charge the opening store's counters.
 type ListHandle struct {
-	s        *Store
-	row      []InEdge // row-major backing
-	cols     EdgeCols // columnar backing
-	columnar bool
+	s    *Store
+	cols EdgeCols
 }
 
 // OpenList resolves L^alpha_v (alpha may be the wildcard) once.
 func (s *Store) OpenList(alpha, v int32) ListHandle {
-	if s.lay.columnar {
-		return ListHandle{s: s, cols: s.inListCols(alpha, v, s.trace), columnar: true}
-	}
-	return ListHandle{s: s, row: s.inList(alpha, v, s.trace)}
+	return ListHandle{s: s, cols: s.incoming(alpha, v, s.trace)}
 }
-
-// Columnar reports whether BlockCols is the handle's native (copy-free)
-// block access.
-func (h ListHandle) Columnar() bool { return h.columnar }
 
 // Len returns the resolved list's entry count.
-func (h ListHandle) Len() int {
-	if h.columnar {
-		return h.cols.Len()
-	}
-	return len(h.row)
-}
+func (h ListHandle) Len() int { return h.cols.Len() }
 
 // NumBlocks returns how many blocks the resolved list spans.
 func (h ListHandle) NumBlocks() int {
 	return (h.Len() + h.s.lay.blockSize - 1) / h.s.lay.blockSize
 }
 
-// blockBounds returns the [lo, hi) lane range of block idx; empty when
-// idx is past the end. last mirrors LoadBlock's contract.
-func (h ListHandle) blockBounds(idx int) (lo, hi int, last bool) {
-	n := h.Len()
-	lo = idx * h.s.lay.blockSize
-	if lo >= n {
-		return 0, 0, true
-	}
-	hi = lo + h.s.lay.blockSize
-	if hi > n {
-		hi = n
-	}
-	return lo, hi, hi == n
-}
-
-// Block reads the idx-th block as row-major entries, counting one block
-// of I/O. On a columnar handle the block is materialized (a copy); block
-// kernels should use BlockCols instead.
-func (h ListHandle) Block(idx int) (entries []InEdge, last bool) {
-	lo, hi, last := h.blockBounds(idx)
-	if hi == lo {
-		return nil, true
-	}
-	h.s.counters.addBlock(int64(hi - lo))
-	if h.columnar {
-		out := make([]InEdge, hi-lo)
-		for i := range out {
-			out[i] = InEdge{From: h.cols.From[lo+i], Dist: h.cols.Dist[lo+i], Direct: h.cols.Direct[lo+i]}
-		}
-		return out, last
-	}
-	return h.row[lo:hi], last
-}
-
-// BlockCols reads the idx-th block as a column view, counting one block
-// of I/O. Only valid on columnar handles (zero-copy subslices of the
-// carved columns).
+// BlockCols reads the idx-th block as a column view (zero-copy subslices
+// of the carved columns), counting one block of I/O. last reports whether
+// this was the final block; a list with no entries returns an empty view
+// and last=true at idx 0, and so does any idx past the end (uncounted).
 func (h ListHandle) BlockCols(idx int) (block EdgeCols, last bool) {
-	lo, hi, last := h.blockBounds(idx)
-	if hi == lo {
+	n := h.Len()
+	lo := idx * h.s.lay.blockSize
+	if lo >= n {
 		return EdgeCols{}, true
 	}
+	hi := min(lo+h.s.lay.blockSize, n)
 	h.s.counters.addBlock(int64(hi - lo))
-	return h.cols.slice(lo, hi), last
-}
-
-// NumBlocks returns how many blocks the incoming list L^alpha_v spans.
-func (s *Store) NumBlocks(alpha, v int32) int {
-	return s.OpenList(alpha, v).NumBlocks()
-}
-
-// LoadBlock reads the idx-th block of L^alpha_v (alpha may be the
-// wildcard), counting one block of I/O. last reports whether this was the
-// final block; a list with no entries returns (nil, true) at idx 0.
-// Callers reading several blocks of one list should OpenList once and use
-// the handle.
-func (s *Store) LoadBlock(alpha, v int32, idx int) (entries []InEdge, last bool) {
-	return s.OpenList(alpha, v).Block(idx)
+	return h.cols.slice(lo, hi), hi == n
 }
 
 // LoadD reads the D^alpha_beta table: per target node with label beta, the
@@ -727,11 +595,11 @@ func (s *Store) LoadBlock(alpha, v int32, idx int) (entries []InEdge, last bool)
 // returned slice is the published table; callers must not modify it.
 func (s *Store) LoadD(alpha, beta int32, childOnly bool) []DEntry {
 	k := tableKey{alpha, beta, childOnly}
-	out, ok := cowGet(&s.pl.dTabs, k)
+	out, ok := cowGet(&s.pl.dTables, k)
 	derived := false
 	if !ok {
 		s.pl.mu.Lock()
-		if out, ok = cowGet(&s.pl.dTabs, k); !ok {
+		if out, ok = cowGet(&s.pl.dTables, k); !ok {
 			derived = true
 			// Nested carves parent under the derive span, so a stage
 			// walk that skips same-name descendants counts the fault
@@ -742,26 +610,16 @@ func (s *Store) LoadD(alpha, beta int32, childOnly bool) []DEntry {
 			sp.SetAttr("beta", beta)
 			faultsBefore := s.lay.faults.Load()
 			s.forTargets(beta, func(v int32) {
-				if s.lay.columnar {
-					// Columnar derive: lanes are distance-sorted, so the
-					// admitted minimum is lane 0, or the first direct lane
-					// found by a flag-column scan.
-					ec := s.inListCols(alpha, v, sp)
-					i := 0
-					if childOnly {
-						i = firstTrue(ec.Direct)
-					}
-					if i >= 0 && i < len(ec.Dist) {
-						out = append(out, DEntry{V: v, Min: ec.Dist[i]})
-					}
-					return
+				// Lanes are distance-sorted, so the admitted minimum is
+				// lane 0, or the first direct lane found by a flag-column
+				// scan.
+				ec := s.incoming(alpha, v, sp)
+				i := 0
+				if childOnly {
+					i = firstTrue(ec.Direct)
 				}
-				for _, e := range s.inList(alpha, v, sp) {
-					if childOnly && !e.Direct {
-						continue
-					}
-					out = append(out, DEntry{V: v, Min: e.Dist})
-					break // lists are distance-sorted
+				if i >= 0 && i < len(ec.Dist) {
+					out = append(out, DEntry{V: v, Min: ec.Dist[i]})
 				}
 			})
 			sp.End()
@@ -770,7 +628,7 @@ func (s *Store) LoadD(alpha, beta int32, childOnly bool) []DEntry {
 			// repairs the layout. Any carve this derivation depended on
 			// that failed did so inside this window.
 			if s.lay.faults.Load() == faultsBefore {
-				cowPut(&s.pl.dTabs, k, out)
+				cowPut(&s.pl.dTables, k, out)
 			}
 		}
 		s.pl.mu.Unlock()
@@ -786,11 +644,11 @@ func (s *Store) LoadD(alpha, beta int32, childOnly bool) []DEntry {
 // is the published table; callers must not modify it.
 func (s *Store) LoadE(alpha, beta int32, childOnly bool) []EEntry {
 	k := tableKey{alpha, beta, childOnly}
-	out, ok := cowGet(&s.pl.eTabs, k)
+	out, ok := cowGet(&s.pl.eTables, k)
 	derived := false
 	if !ok {
 		s.pl.mu.Lock()
-		if out, ok = cowGet(&s.pl.eTabs, k); !ok {
+		if out, ok = cowGet(&s.pl.eTables, k); !ok {
 			derived = true
 			sp := s.trace.StartChild("table_fault")
 			sp.SetAttr("op", "derive_e")
@@ -799,27 +657,15 @@ func (s *Store) LoadE(alpha, beta int32, childOnly bool) []EEntry {
 			faultsBefore := s.lay.faults.Load()
 			best := make(map[int32]EEntry)
 			s.forTargets(beta, func(v int32) {
-				if s.lay.columnar {
-					ec := s.inListCols(alpha, v, sp)
-					for i := range ec.From {
-						if childOnly && !ec.Direct[i] {
-							continue
-						}
-						f, d := ec.From[i], ec.Dist[i]
-						cur, ok := best[f]
-						if !ok || d < cur.Dist || (d == cur.Dist && v < cur.To) {
-							best[f] = EEntry{From: f, To: v, Dist: d, Direct: ec.Direct[i]}
-						}
-					}
-					return
-				}
-				for _, e := range s.inList(alpha, v, sp) {
-					if childOnly && !e.Direct {
+				ec := s.incoming(alpha, v, sp)
+				for i := range ec.From {
+					if childOnly && !ec.Direct[i] {
 						continue
 					}
-					cur, ok := best[e.From]
-					if !ok || e.Dist < cur.Dist || (e.Dist == cur.Dist && v < cur.To) {
-						best[e.From] = EEntry{From: e.From, To: v, Dist: e.Dist, Direct: e.Direct}
+					f, d := ec.From[i], ec.Dist[i]
+					cur, ok := best[f]
+					if !ok || d < cur.Dist || (d == cur.Dist && v < cur.To) {
+						best[f] = EEntry{From: f, To: v, Dist: d, Direct: ec.Direct[i]}
 					}
 				}
 			})
@@ -827,12 +673,12 @@ func (s *Store) LoadE(alpha, beta int32, childOnly bool) []EEntry {
 			for _, e := range best {
 				out = append(out, e)
 			}
-			sort.Slice(out, func(i, j int) bool { return out[i].From < out[j].From })
+			slices.SortFunc(out, func(a, b EEntry) int { return int(a.From) - int(b.From) })
 			sp.End()
 			// Like LoadD: never cache a derivation built over a short
 			// carve.
 			if s.lay.faults.Load() == faultsBefore {
-				cowPut(&s.pl.eTabs, k, out)
+				cowPut(&s.pl.eTables, k, out)
 			}
 		}
 		s.pl.mu.Unlock()
@@ -866,7 +712,7 @@ func (s *Store) forTargets(beta int32, fn func(v int32)) {
 func (s *Store) TotalEdges() int64 { return s.lay.src.NumEntries() }
 
 // TablesLoaded returns how many closure tables have been materialized
-// from the source into the layout's incoming lists. The layout is shared,
+// from the source into the layout's incoming columns. The layout is shared,
 // so every replica reports the same number; after New (or
 // MaterializeAll) it is the full table count, while a store over a lazy
 // snapshot starts at 0 and grows as queries fault tables in.

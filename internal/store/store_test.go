@@ -41,13 +41,35 @@ func lbl(g *graph.Graph, name string) int32 {
 	return int32(id)
 }
 
+// edge is one lane of an EdgeCols view, reassembled so tests can compare
+// and print lists entry by entry.
+type edge struct {
+	From, Dist int32
+	Direct     bool
+}
+
+// lanes reassembles a column view lane by lane (nil when empty).
+func lanes(ec EdgeCols) []edge {
+	var out []edge
+	for i := range ec.From {
+		out = append(out, edge{ec.From[i], ec.Dist[i], ec.Direct[i]})
+	}
+	return out
+}
+
+// loadBlock reads block idx of L^alpha_v through a fresh handle.
+func loadBlock(s *Store, alpha, v int32, idx int) ([]edge, bool) {
+	bc, last := s.OpenList(alpha, v).BlockCols(idx)
+	return lanes(bc), last
+}
+
 func TestLoadBlockSortedByDistance(t *testing.T) {
 	g, c := smallGraph(t)
 	s := New(c, 2)
 	a, d := lbl(g, "a"), int32(4)
-	var all []InEdge
+	var all []edge
 	for i := 0; ; i++ {
-		blk, last := s.LoadBlock(a, d, i)
+		blk, last := loadBlock(s, a, d, i)
 		all = append(all, blk...)
 		if last {
 			break
@@ -72,11 +94,11 @@ func TestLoadBlockCountsIO(t *testing.T) {
 	g, c := smallGraph(t)
 	s := New(c, 1) // one entry per block
 	a, d := lbl(g, "a"), int32(4)
-	if n := s.NumBlocks(a, d); n != 2 {
+	if n := s.OpenList(a, d).NumBlocks(); n != 2 {
 		t.Fatalf("NumBlocks = %d, want 2", n)
 	}
-	s.LoadBlock(a, d, 0)
-	s.LoadBlock(a, d, 1)
+	loadBlock(s, a, d, 0)
+	loadBlock(s, a, d, 1)
 	cnt := s.Counters()
 	if cnt.BlocksRead != 2 || cnt.EntriesRead != 2 {
 		t.Fatalf("counters = %+v", cnt)
@@ -90,7 +112,7 @@ func TestLoadBlockCountsIO(t *testing.T) {
 func TestLoadBlockPastEnd(t *testing.T) {
 	g, c := smallGraph(t)
 	s := New(c, 4)
-	blk, last := s.LoadBlock(lbl(g, "a"), 4, 9)
+	blk, last := loadBlock(s, lbl(g, "a"), 4, 9)
 	if blk != nil || !last {
 		t.Fatalf("past-end block = %v,%v", blk, last)
 	}
@@ -100,12 +122,12 @@ func TestDirectFlag(t *testing.T) {
 	g, c := smallGraph(t)
 	s := New(c, 8)
 	// Incoming to c2 from a: direct edge a0->c2.
-	blk, _ := s.LoadBlock(lbl(g, "a"), 2, 0)
+	blk, _ := loadBlock(s, lbl(g, "a"), 2, 0)
 	if len(blk) != 1 || !blk[0].Direct {
 		t.Fatalf("a->c2 = %+v, want direct", blk)
 	}
 	// Incoming to d4 from a: both at distance >= 2, not direct.
-	blk, _ = s.LoadBlock(lbl(g, "a"), 4, 0)
+	blk, _ = loadBlock(s, lbl(g, "a"), 4, 0)
 	for _, e := range blk {
 		if e.Direct {
 			t.Fatalf("a->d4 entry %+v marked direct", e)
@@ -186,7 +208,7 @@ func TestWildcardMergedIncoming(t *testing.T) {
 	s := New(c, 8)
 	// All incoming to d4 regardless of source label: from a0(2), a1(3),
 	// c2(1), c3(2).
-	blk, last := s.LoadBlock(label.Wildcard, 4, 0)
+	blk, last := loadBlock(s, label.Wildcard, 4, 0)
 	if !last || len(blk) != 4 {
 		t.Fatalf("wildcard incoming = %v (last=%v), want 4 entries", blk, last)
 	}
@@ -224,7 +246,7 @@ func TestBlockBoundaries(t *testing.T) {
 	var v, alpha int32 = -1, -1
 	for a := int32(0); int(a) < g.NumLabels(); a++ {
 		for n := int32(0); int(n) < g.NumNodes(); n++ {
-			if len(s.inList(a, n, nil)) > 14 {
+			if s.incoming(a, n, nil).Len() > 14 {
 				alpha, v = a, n
 				break
 			}
@@ -233,12 +255,13 @@ func TestBlockBoundaries(t *testing.T) {
 	if v < 0 {
 		t.Skip("no long list in this instance")
 	}
-	want := len(s.inList(alpha, v, nil))
+	want := s.incoming(alpha, v, nil).Len()
+	lh := s.OpenList(alpha, v)
 	got := 0
-	for i := 0; i < s.NumBlocks(alpha, v); i++ {
-		blk, last := s.LoadBlock(alpha, v, i)
-		got += len(blk)
-		if last != (i == s.NumBlocks(alpha, v)-1) {
+	for i := 0; i < lh.NumBlocks(); i++ {
+		blk, last := lh.BlockCols(i)
+		got += blk.Len()
+		if last != (i == lh.NumBlocks()-1) {
 			t.Fatalf("last flag wrong at block %d", i)
 		}
 	}
@@ -283,7 +306,7 @@ func TestSharedPlaneDerivesOnce(t *testing.T) {
 				eGot[i] = append(eGot[i], s.LoadE(k.alpha, k.beta, false))
 			}
 			for v := int32(0); int(v) < g.NumNodes(); v += 7 {
-				s.LoadBlock(label.Wildcard, v, 0)
+				loadBlock(s, label.Wildcard, v, 0)
 			}
 		}(i)
 	}
@@ -321,7 +344,7 @@ func TestReplicaCountersIsolation(t *testing.T) {
 	r1, r2 := base.Replica(), base.Replica()
 
 	r1.LoadD(lbl(g, "a"), lbl(g, "d"), false) // first derive: r1 pays it
-	r1.LoadBlock(lbl(g, "a"), 4, 0)
+	loadBlock(r1, lbl(g, "a"), 4, 0)
 	c1 := r1.Counters()
 	if c1.TablesRead != 1 || c1.BlocksRead != 1 {
 		t.Fatalf("r1 counters = %+v, want 1 table derive and 1 block", c1)
@@ -349,25 +372,6 @@ func TestReplicaCountersIsolation(t *testing.T) {
 	}
 }
 
-// TestPrivateReplicaRederives pins the detached mode benchmarks rely on:
-// a PrivateReplica shares only the layout, so it re-derives tables the
-// base already has.
-func TestPrivateReplicaRederives(t *testing.T) {
-	g, c := smallGraph(t)
-	base := New(c, 8)
-	base.LoadD(lbl(g, "a"), lbl(g, "d"), false)
-	pr := base.PrivateReplica()
-	pr.LoadD(lbl(g, "a"), lbl(g, "d"), false)
-	if cnt := pr.Counters(); cnt.TablesRead != 1 || cnt.TableHits != 0 {
-		t.Fatalf("private replica counters = %+v, want its own derive", cnt)
-	}
-	shared := base.Replica()
-	shared.LoadD(lbl(g, "a"), lbl(g, "d"), false)
-	if cnt := shared.Counters(); cnt.TablesRead != 0 || cnt.TableHits != 1 {
-		t.Fatalf("shared replica counters = %+v, want a plane hit", cnt)
-	}
-}
-
 func TestQueryOnlyLabelHasNoTargets(t *testing.T) {
 	g, c := smallGraph(t)
 	s := New(c, 8)
@@ -380,29 +384,29 @@ func TestQueryOnlyLabelHasNoTargets(t *testing.T) {
 	if e := s.LoadE(lbl(g, "a"), newID, false); len(e) != 0 {
 		t.Fatalf("E for query-only label = %v", e)
 	}
-	if blk, last := s.LoadBlock(newID, 0, 0); blk != nil || !last {
+	if blk, last := loadBlock(s, newID, 0, 0); blk != nil || !last {
 		t.Fatalf("block for query-only label = %v,%v", blk, last)
 	}
 }
 
-// TestLazySourceFaultsOnDemand pins the NewFromSource contract: no table
+// TestLazySourceFaultsOnDemand pins the NewFromConfig contract: no table
 // is carved at construction, a block read faults exactly the (α, l(v))
 // table it needs, and the carved lists answer identically to the eager
 // layout's.
 func TestLazySourceFaultsOnDemand(t *testing.T) {
 	g, c := smallGraph(t)
 	eager := New(c, 2)
-	lazy := NewFromSource(c, 2)
+	lazy := NewFromConfig(c, Config{BlockSize: 2})
 	if n := lazy.TablesLoaded(); n != 0 {
-		t.Fatalf("NewFromSource carved %d tables, want 0", n)
+		t.Fatalf("NewFromConfig carved %d tables, want 0", n)
 	}
 	if eager.TablesLoaded() != int64(c.NumTables()) {
 		t.Fatalf("New carved %d tables, want %d", eager.TablesLoaded(), c.NumTables())
 	}
 	a, cL, dL := lbl(g, "a"), lbl(g, "c"), lbl(g, "d")
 	// One block read faults one table.
-	want, wantLast := eager.LoadBlock(a, 4, 0)
-	got, gotLast := lazy.LoadBlock(a, 4, 0)
+	want, wantLast := loadBlock(eager, a, 4, 0)
+	got, gotLast := loadBlock(lazy, a, 4, 0)
 	if !reflect.DeepEqual(got, want) || gotLast != wantLast {
 		t.Fatalf("lazy block = %v/%v, eager = %v/%v", got, gotLast, want, wantLast)
 	}
@@ -410,7 +414,7 @@ func TestLazySourceFaultsOnDemand(t *testing.T) {
 		t.Fatalf("one block read carved %d tables, want 1", n)
 	}
 	// A second read of the same table stays resident.
-	lazy.LoadBlock(a, 4, 0)
+	loadBlock(lazy, a, 4, 0)
 	if n := lazy.TablesLoaded(); n != 1 {
 		t.Fatalf("re-read carved more tables: %d", n)
 	}
@@ -418,8 +422,8 @@ func TestLazySourceFaultsOnDemand(t *testing.T) {
 	if got, want := lazy.LoadD(cL, dL, false), eager.LoadD(cL, dL, false); !reflect.DeepEqual(got, want) {
 		t.Fatalf("lazy D = %v, eager = %v", got, want)
 	}
-	gotW, _ := lazy.LoadBlock(label.Wildcard, 4, 0)
-	wantW, _ := eager.LoadBlock(label.Wildcard, 4, 0)
+	gotW, _ := loadBlock(lazy, label.Wildcard, 4, 0)
+	wantW, _ := loadBlock(eager, label.Wildcard, 4, 0)
 	if !reflect.DeepEqual(gotW, wantW) {
 		t.Fatalf("lazy wildcard block = %v, eager = %v", gotW, wantW)
 	}
@@ -435,7 +439,7 @@ func TestLazySourceFaultsOnDemand(t *testing.T) {
 func TestLazySourceConcurrentFaults(t *testing.T) {
 	g, c := smallGraph(t)
 	eager := New(c, 2)
-	lazy := NewFromSource(c, 2)
+	lazy := NewFromConfig(c, Config{BlockSize: 2})
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
 	for w := 0; w < 8; w++ {
@@ -445,8 +449,8 @@ func TestLazySourceConcurrentFaults(t *testing.T) {
 			for v := int32(0); int(v) < g.NumNodes(); v++ {
 				for a := int32(0); int(a) < g.NumLabels(); a++ {
 					for idx := 0; ; idx++ {
-						got, gLast := lazy.LoadBlock(a, v, idx)
-						want, wLast := eager.LoadBlock(a, v, idx)
+						got, gLast := loadBlock(lazy, a, v, idx)
+						want, wLast := loadBlock(eager, a, v, idx)
 						if !reflect.DeepEqual(got, want) || gLast != wLast {
 							errs <- "block mismatch"
 							return
@@ -473,15 +477,15 @@ func TestLazySourceConcurrentFaults(t *testing.T) {
 // layout: a table faulted through one replica is resident for all.
 func TestLazyReplicaSharesCarves(t *testing.T) {
 	g, c := smallGraph(t)
-	base := NewFromSource(c, 2)
+	base := NewFromConfig(c, Config{BlockSize: 2})
 	r1, r2 := base.Replica(), base.Replica()
 	a := lbl(g, "a")
-	r1.LoadBlock(a, 4, 0)
+	loadBlock(r1, a, 4, 0)
 	n := base.TablesLoaded()
 	if n == 0 {
 		t.Fatal("no table carved")
 	}
-	r2.LoadBlock(a, 4, 0)
+	loadBlock(r2, a, 4, 0)
 	if base.TablesLoaded() != n || r1.TablesLoaded() != n || r2.TablesLoaded() != n {
 		t.Fatal("replicas do not share carved tables")
 	}
@@ -512,12 +516,12 @@ func TestShortCarveRefaults(t *testing.T) {
 	g, c := smallGraph(t)
 	a, d := lbl(g, "a"), lbl(g, "d")
 	src := &flakySource{TableSource: c, failAlpha: a, failBeta: d}
-	lazy := NewFromSource(src, 2)
+	lazy := NewFromConfig(src, Config{BlockSize: 2})
 	eager := New(c, 2)
 
 	// While the source faults: the failing table reads empty, everything
 	// else is unaffected.
-	if got, _ := lazy.LoadBlock(a, 4, 0); len(got) != 0 {
+	if got, _ := loadBlock(lazy, a, 4, 0); len(got) != 0 {
 		t.Fatalf("failing table served %v", got)
 	}
 	if n := lazy.TablesLoaded(); n != 0 {
@@ -527,8 +531,8 @@ func TestShortCarveRefaults(t *testing.T) {
 	if bad := lazy.LoadD(a, d, false); len(bad) >= len(wantD) {
 		t.Fatalf("derived D over a short carve has %d rows, eager has %d", len(bad), len(wantD))
 	}
-	badW, _ := lazy.LoadBlock(label.Wildcard, 4, 0)
-	wantW, _ := eager.LoadBlock(label.Wildcard, 4, 0)
+	badW, _ := loadBlock(lazy, label.Wildcard, 4, 0)
+	wantW, _ := loadBlock(eager, label.Wildcard, 4, 0)
 	if reflect.DeepEqual(badW, wantW) {
 		t.Fatal("wildcard merge over a short carve should be missing edges")
 	}
@@ -536,15 +540,15 @@ func TestShortCarveRefaults(t *testing.T) {
 	// Source heals: every path must refault and repair, including the
 	// derived plane and wildcard merges (nothing was cached).
 	src.healed = true
-	gotB, _ := lazy.LoadBlock(a, 4, 0)
-	wantB, _ := eager.LoadBlock(a, 4, 0)
+	gotB, _ := loadBlock(lazy, a, 4, 0)
+	wantB, _ := loadBlock(eager, a, 4, 0)
 	if !reflect.DeepEqual(gotB, wantB) {
 		t.Fatalf("after heal: block %v, want %v", gotB, wantB)
 	}
 	if got := lazy.LoadD(a, d, false); !reflect.DeepEqual(got, wantD) {
 		t.Fatalf("after heal: D %v, want %v", got, wantD)
 	}
-	gotW, _ := lazy.LoadBlock(label.Wildcard, 4, 0)
+	gotW, _ := loadBlock(lazy, label.Wildcard, 4, 0)
 	if !reflect.DeepEqual(gotW, wantW) {
 		t.Fatalf("after heal: wildcard %v, want %v", gotW, wantW)
 	}

@@ -49,15 +49,13 @@
 // (zero-copy table views) — the lazy modes open in O(directory) time,
 // so a daemon restart over a big graph is near-instant. SaveSnapshotAs
 // can instead write the columnar KTPMSNAP2 layout (per-table to/dist/
-// from columns), which OpenSnapshot detects by magic and serves through
-// the store's structure-of-arrays block kernels. All modes and both
-// formats answer queries byte-identically to BuildDatabase. SaveDatabase
-// and OpenDatabase keep reading the older KTPMTC1 stream format.
+// from columns), which OpenSnapshot detects by magic. Every database —
+// built in memory, opened from either format, or published by Live —
+// serves through the same columnar block store, so all modes and both
+// formats answer queries byte-identically to BuildDatabase.
 package ktpm
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -151,7 +149,7 @@ type DatabaseOptions struct {
 // with shortest distances (Section 3.1) organized both as label-pair
 // tables and in the simulated block store (Section 4.1). The closure is
 // accessed through a closure.TableSource, which is either fully resident
-// (BuildDatabase, OpenDatabase, eager snapshots) or faulted in from disk
+// (BuildDatabase, eager snapshots) or faulted in from disk
 // per table (OpenSnapshot in lazy or mmap mode).
 type Database struct {
 	g    *graph.Graph
@@ -178,55 +176,6 @@ func BuildDatabase(g *Graph, opt DatabaseOptions) (*Database, error) {
 
 // Graph returns the underlying data graph.
 func (db *Database) Graph() *Graph { return &Graph{g: db.g} }
-
-// SaveDatabase writes a self-contained snapshot — the graph plus its
-// precomputed closure — so the offline step is paid once. The layout is a
-// length-prefixed graph text section followed by the binary KTPMTC1
-// closure stream, which OpenDatabase must parse front to back; prefer
-// SaveSnapshot/OpenSnapshot, whose offset-indexed format also supports
-// lazy and mmap opening. Kept for compatibility with existing files.
-func SaveDatabase(w io.Writer, db *Database) error {
-	var gbuf bytes.Buffer
-	if err := graph.Encode(&gbuf, db.g); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "KTPMDB1 %d\n", gbuf.Len()); err != nil {
-		return err
-	}
-	if _, err := w.Write(gbuf.Bytes()); err != nil {
-		return err
-	}
-	return closure.Encode(w, db.c)
-}
-
-// OpenDatabase reads a snapshot written by SaveDatabase, skipping the
-// closure recomputation. BlockSize applies to the rebuilt store; a
-// MaxDistance different from the snapshot's is not re-applied.
-func OpenDatabase(r io.Reader, opt DatabaseOptions) (*Database, error) {
-	br := bufio.NewReader(r)
-	var glen int
-	if _, err := fmt.Fscanf(br, "KTPMDB1 %d\n", &glen); err != nil {
-		return nil, fmt.Errorf("ktpm: bad database header: %w", err)
-	}
-	gbytes := make([]byte, glen)
-	if _, err := io.ReadFull(br, gbytes); err != nil {
-		return nil, fmt.Errorf("ktpm: reading graph section: %w", err)
-	}
-	g, err := graph.Decode(bytes.NewReader(gbytes))
-	if err != nil {
-		return nil, err
-	}
-	c, err := closure.Decode(br, g, false)
-	if err != nil {
-		return nil, err
-	}
-	return &Database{
-		g:   g,
-		c:   c,
-		st:  store.New(c, opt.BlockSize),
-		opt: opt,
-	}, nil
-}
 
 // SnapshotMode selects how OpenSnapshot backs the closure tables.
 type SnapshotMode int
@@ -284,9 +233,9 @@ const (
 	SnapshotV1 SnapshotFormat = iota
 	// SnapshotV2 is the columnar KTPMSNAP2 layout: each table stores
 	// to[], dist[], and from[] as separate contiguous little-endian
-	// columns behind the same directory. Databases opened from a v2
-	// snapshot serve queries through the store's structure-of-arrays
-	// layout and block kernels; results are byte-identical to v1.
+	// columns behind the same directory. The store carves a v2 table
+	// straight from its columns (read zero-copy under mmap) instead of
+	// transposing rows; results are byte-identical to v1.
 	SnapshotV2
 )
 
@@ -351,13 +300,7 @@ func OpenSnapshot(path string, opt SnapshotOptions) (*Database, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ktpm: %w", err)
 	}
-	// A columnar (v2) snapshot is served through the store's
-	// structure-of-arrays layout, so the on-disk columns flow into the
-	// carved lists and D/E derivations without a row-major detour.
-	st := store.NewFromConfig(snap, store.Config{
-		BlockSize: opt.BlockSize,
-		Columnar:  snap.Version() >= 2,
-	})
+	st := store.NewFromConfig(snap, store.Config{BlockSize: opt.BlockSize})
 	if opt.Mode == SnapshotEager {
 		st.MaterializeAll()
 	}

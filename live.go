@@ -380,20 +380,14 @@ func decodeIngestRecord(p []byte) ([]graph.Edge, error) {
 // the current base + overlay. Callers hold l.mu (or are in OpenLive
 // before the Live escapes).
 func (l *Live) publishLocked() {
-	var src closure.TableSource
-	columnar := false
-	if l.delta.Entries() == 0 {
-		src = l.baseClosure
-		if l.baseSnap != nil {
-			columnar = l.baseSnap.Version() >= 2
-		}
-	} else {
+	src := l.baseClosure
+	if l.delta.Entries() > 0 {
 		src = closure.NewMergedSource(l.combined, l.baseClosure, l.delta)
 	}
 	db := &Database{
 		g:   l.combined,
 		c:   src,
-		st:  store.NewFromConfig(src, store.Config{BlockSize: l.blockSize, Columnar: columnar}),
+		st:  store.NewFromConfig(src, store.Config{BlockSize: l.blockSize}),
 		opt: DatabaseOptions{BlockSize: l.blockSize},
 	}
 	// Fold the outgoing epoch's monotonic I/O counters into the base so

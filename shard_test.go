@@ -271,8 +271,7 @@ func TestShardedConcurrentQueries(t *testing.T) {
 // TestShardedTablesReadFlat is the shared-plane accounting property: the
 // number of summary tables derived from the simulated disk, summed across
 // all shard replicas, must not grow with the shard count — each distinct
-// table is derived once process-wide. The detached (private-plane) mode
-// pins the old behavior: derives grow linearly in the shard count.
+// table is derived once process-wide.
 func TestShardedTablesReadFlat(t *testing.T) {
 	queries := []string{"a(b)", "a(b,c)", "b(c(d))", "a(*,c)"}
 	run := func(d *shard.DB, db *Database) int64 {
@@ -301,15 +300,6 @@ func TestShardedTablesReadFlat(t *testing.T) {
 		if d != derives[1] {
 			t.Fatalf("shards=%d derived %d tables, shards=1 derived %d; want flat", n, d, derives[1])
 		}
-	}
-	// Same workload, private planes: every shard re-derives its own copy.
-	db := randomDatabase(t, 90, 3)
-	det, err := shard.NewDetached(db.st, 4, partitionerAdapter{PartitionByLabel()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := run(det, db); d != 4*derives[1] {
-		t.Fatalf("detached shards=4 derived %d tables, want %d (4x the shared plane)", d, 4*derives[1])
 	}
 }
 

@@ -27,8 +27,8 @@ func saveTestSnapshotAs(t testing.TB, db *Database, format SnapshotFormat) strin
 
 // TestSnapshotV2MatchesV1 is the columnar result-identity property test:
 // a database saved as columnar KTPMSNAP2 and reopened in every mode —
-// which routes every query through the store's structure-of-arrays
-// layout and the block kernels — must answer TopK byte-identically to
+// whose store carves straight from the on-disk columns — must answer
+// TopK byte-identically to
 // the same database saved as row-major KTPMSNAP1, for full enumerations
 // and prefixes, unsharded and at shard counts {1, 2, 4}, with agreeing
 // explain plans. Ties are covered by the k=5000 full drain: canonical
