@@ -291,6 +291,10 @@ func main() {
 		if err != nil {
 			fatal(logger, "write path", err)
 		}
+		// Live owns the boot snapshot now and releases it through its
+		// generation reference counts; dropping db lets the boot store
+		// be collected once the first epoch replaces it.
+		db = nil
 		backend = live
 		st := live.IngestStats()
 		logger.Info("write path enabled",
@@ -395,16 +399,14 @@ func main() {
 	// views into the mapping, and unmapping under it would turn a slow
 	// drain into a crash. Process exit releases it either way.
 	if drained {
-		// The live engine first: it stops the compactor, flushes and
-		// closes the WAL, and releases every generation snapshot. Closing
-		// the boot database afterwards is an idempotent no-op when Live
-		// already owned its snapshot.
+		// The live engine stops the compactor, flushes and closes the
+		// WAL, and releases the current generation, the boot snapshot
+		// included when no compaction has replaced it yet.
 		if live != nil {
 			if err := live.Close(); err != nil {
 				logger.Error("closing write path", "err", err)
 			}
-		}
-		if err := db.Close(); err != nil {
+		} else if err := db.Close(); err != nil {
 			logger.Error("closing snapshot", "err", err)
 		}
 	} else if *snapPath != "" {

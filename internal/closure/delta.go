@@ -1,8 +1,9 @@
 package closure
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ktpm/internal/graph"
 )
@@ -181,9 +182,9 @@ func deltaSearch(g *graph.Graph, src int32, dist []int32, rev bool) []int32 {
 }
 
 // MergedSource is a TableSource presenting base ∪ delta: label-pair
-// tables the overlay touches are materialized (min-merged and re-sorted
-// into the canonical (To, Dist, From) order) at construction; untouched
-// tables pass through to the base unchanged, preserving its lazy/mmap
+// tables the overlay touches are materialized (min-merged into the
+// canonical (To, Dist, From) order) at construction; untouched tables
+// pass through to the base unchanged, preserving its lazy/mmap
 // faulting. The result is immutable — mutating the Delta afterwards
 // does not affect an already-built MergedSource.
 type MergedSource struct {
@@ -199,7 +200,9 @@ var _ TableSource = (*MergedSource)(nil)
 // NewMergedSource materializes delta over base. g is the combined
 // graph the merged closure describes (base graph + delta edges); it
 // becomes the source's Graph(). Touched base tables are faulted here,
-// once, rather than at query time.
+// once, rather than at query time: through TableCols when columns are
+// the base's native layout (no row-major copy is cached beside them),
+// otherwise through Table.
 func NewMergedSource(g *graph.Graph, base TableSource, d *Delta) *MergedSource {
 	m := &MergedSource{
 		g:          g,
@@ -208,41 +211,104 @@ func NewMergedSource(g *graph.Graph, base TableSource, d *Delta) *MergedSource {
 		numEntries: base.NumEntries(),
 		numTables:  base.NumTables(),
 	}
+	cs, native := NativeCols(base)
+	// slot[v] is 1 + the position in the output of the entry from v in
+	// the To group being merged, 0 for none; reset after every group.
+	slot := make([]int32, g.NumNodes())
+	var ov []Entry
 	for key, overlay := range d.tables {
-		baseTab := base.Table(key.a, key.b)
-		out := make([]Entry, 0, len(baseTab)+len(overlay))
-		pending := make(map[fromTo]int32, len(overlay))
+		ov = ov[:0]
 		for ft, dd := range overlay {
-			pending[ft] = dd
+			ov = append(ov, Entry{From: ft.from, To: ft.to, Dist: dd})
 		}
-		for _, e := range baseTab {
-			if dd, ok := pending[fromTo{e.From, e.To}]; ok {
-				if dd < e.Dist {
-					e.Dist = dd
-				}
-				delete(pending, fromTo{e.From, e.To})
-			}
-			out = append(out, e)
+		slices.SortFunc(ov, func(a, b Entry) int { return cmp.Compare(a.To, b.To) })
+		var out []Entry
+		var added int
+		if native {
+			out, added = mergeTable(cs.TableCols(key.a, key.b), ov, slot)
+		} else {
+			out, added = mergeTable(entryRows(base.Table(key.a, key.b)), ov, slot)
 		}
-		for ft, dd := range pending {
-			out = append(out, Entry{From: ft.from, To: ft.to, Dist: dd})
-			m.numEntries++
+		if len(out) == added {
+			m.numTables++ // the base had no such table
 		}
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].To != out[j].To {
-				return out[i].To < out[j].To
-			}
-			if out[i].Dist != out[j].Dist {
-				return out[i].Dist < out[j].Dist
-			}
-			return out[i].From < out[j].From
-		})
-		if len(baseTab) == 0 {
-			m.numTables++
-		}
+		m.numEntries += int64(added)
 		m.merged[key] = out
 	}
 	return m
+}
+
+// entryRows is a row-major table behind the same accessors as Cols.
+type entryRows []Entry
+
+func (r entryRows) Len() int       { return len(r) }
+func (r entryRows) At(i int) Entry { return r[i] }
+
+// cmpDistFrom is the canonical order within one To group.
+func cmpDistFrom(a, b Entry) int {
+	if a.Dist != b.Dist {
+		return cmp.Compare(a.Dist, b.Dist)
+	}
+	return cmp.Compare(a.From, b.From)
+}
+
+// mergeTable min-merges ov — overlay entries of one table, sorted by To
+// — into base, a table in canonical (To, Dist, From) order, and returns
+// the merged table and how many entries the overlay added. Base groups
+// (runs of equal To) that no overlay entry touches are copied as they
+// are; only a group whose content changed is re-sorted. slot must be
+// all zero and is left all zero.
+func mergeTable[T interface {
+	Len() int
+	At(i int) Entry
+}](base T, ov []Entry, slot []int32) ([]Entry, int) {
+	n := base.Len()
+	out := make([]Entry, 0, n+len(ov))
+	added := 0
+	i := 0
+	for j := 0; j < len(ov); {
+		to := ov[j].To
+		for ; i < n; i++ {
+			e := base.At(i)
+			if e.To >= to {
+				break
+			}
+			out = append(out, e)
+		}
+		g := len(out)
+		for ; i < n; i++ {
+			e := base.At(i)
+			if e.To != to {
+				break
+			}
+			out = append(out, e)
+			slot[e.From] = int32(len(out))
+		}
+		changed := false
+		for ; j < len(ov) && ov[j].To == to; j++ {
+			e := ov[j]
+			if k := slot[e.From]; k > 0 {
+				if e.Dist < out[k-1].Dist {
+					out[k-1].Dist = e.Dist
+					changed = true
+				}
+				continue
+			}
+			out = append(out, e)
+			added++
+			changed = true
+		}
+		for _, e := range out[g:] {
+			slot[e.From] = 0
+		}
+		if changed {
+			slices.SortFunc(out[g:], cmpDistFrom)
+		}
+	}
+	for ; i < n; i++ {
+		out = append(out, base.At(i))
+	}
+	return out, added
 }
 
 // Graph returns the combined graph.

@@ -156,6 +156,15 @@ func TestMergedSourceOverSnapshot(t *testing.T) {
 			d := NewDelta()
 			d.AddEdges(g2, edges)
 			merged := NewMergedSource(g2, snap, d)
+			if v2 {
+				// A columnar base is merged from its columns: no touched
+				// table gains a cached row-major copy.
+				for i := range snap.tabs {
+					if snap.tabs[i].Load() != nil {
+						t.Fatalf("%v v2: merging materialized a row-major copy of table %d", mode, i)
+					}
+				}
+			}
 			assertSameSource(t, merged, want)
 			snap.Close()
 		}

@@ -785,23 +785,28 @@ func (s *Snapshot) TablesLoaded() int64 { return s.tablesLoaded.Load() }
 // effective mode is SnapMMap).
 func (s *Snapshot) BytesMapped() int64 { return int64(len(s.data)) }
 
-// Close releases the file handle and any mapping. It must only be called
-// after every query against the snapshot has finished: mmap-mode tables
-// are views into the mapping and become invalid here. Idempotent.
+// Close releases the file handle and any mapping, and drops every
+// published table in all modes, so a closed snapshot holds no table
+// memory even while something still points at it. It must only be
+// called after every query against the snapshot has finished: mmap-mode
+// tables are views into the mapping and become invalid here. A table
+// asked for after Close is served empty with a sticky Err. Idempotent.
 func (s *Snapshot) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Drop the published tables before unmapping, so a (disallowed but
+	// cheap to defend) post-Close Table observes the closed state
+	// instead of reading unmapped memory.
+	for i := range s.tabs {
+		s.tabs[i].Store(nil)
+	}
+	for i := range s.cols {
+		s.cols[i].Store(nil)
+	}
 	var err error
 	if s.data != nil {
 		err = munmap(s.data)
 		s.data = nil
-		// Published zero-copy views now dangle; drop them so a
-		// (disallowed but cheap to defend) post-Close Table observes the
-		// closed state instead of reading unmapped memory.
-		for i := range s.tabs {
-			s.tabs[i].Store(nil)
-		}
-		for i := range s.cols {
-			s.cols[i].Store(nil)
-		}
 	}
 	if s.f != nil {
 		if cerr := s.f.Close(); err == nil {

@@ -56,6 +56,23 @@ func sameTables(t *testing.T, want TableSource, got TableSource, mode string) {
 	})
 }
 
+// assertClosedHoldsNoTables checks that Close dropped every published
+// table in mode, so nothing that still points at the Snapshot keeps its
+// decoded (eager, lazy) or mapped (mmap) tables reachable.
+func assertClosedHoldsNoTables(t *testing.T, s *Snapshot, mode SnapMode) {
+	t.Helper()
+	for i := range s.dir {
+		if s.tabs[i].Load() != nil || s.cols[i].Load() != nil {
+			t.Fatalf("%v: table %d still published after Close", mode, i)
+		}
+	}
+	if len(s.dir) > 0 {
+		if got := s.Table(s.dir[0].alpha, s.dir[0].beta); got != nil || s.Err() == nil {
+			t.Fatalf("%v: Table after Close served %d entries, Err %v; want none and a sticky error", mode, len(got), s.Err())
+		}
+	}
+}
+
 func TestSnapshotRoundTripAllModes(t *testing.T) {
 	c, path := writeTestSnapshot(t)
 	for _, mode := range []SnapMode{SnapEager, SnapLazy, SnapMMap} {
@@ -75,6 +92,7 @@ func TestSnapshotRoundTripAllModes(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatalf("%v: Close: %v", mode, err)
 		}
+		assertClosedHoldsNoTables(t, s, mode)
 	}
 }
 

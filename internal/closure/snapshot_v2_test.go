@@ -67,6 +67,7 @@ func TestSnapshotV2RoundTripAllModes(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatalf("%v: Close: %v", mode, err)
 		}
+		assertClosedHoldsNoTables(t, s, mode)
 	}
 }
 

@@ -166,7 +166,7 @@ func TestIngestDraining(t *testing.T) {
 // ktpmd_wal_* / ktpmd_overlay_* / ktpmd_compaction_* families appear on
 // a live backend and reflect the write.
 func TestIngestStatsAndMetrics(t *testing.T) {
-	s, _ := newLiveTestServer(t, Config{})
+	s, live := newLiveTestServer(t, Config{})
 	if rec, _ := postIngest(t, s, `{"edges":[{"from":1,"to":6}]}`); rec.Code != http.StatusOK {
 		t.Fatalf("ingest: status %d", rec.Code)
 	}
@@ -206,6 +206,28 @@ func TestIngestStatsAndMetrics(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+
+	// The boot base is in memory, so no generation is open until a
+	// compaction writes one; after it, exactly that one is.
+	if st.Ingest.Compaction.GenerationsOpen != 0 || !strings.Contains(body, "ktpmd_generations_open 0\n") {
+		t.Errorf("generations open before any compaction: stats %d, want 0 in /stats and /metrics", st.Ingest.Compaction.GenerationsOpen)
+	}
+	if err := live.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	rec = httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatalf("bad /stats body: %v", err)
+	}
+	if st.Ingest.Compaction.GenerationsOpen != 1 {
+		t.Errorf("generations_open after one compaction = %d, want 1", st.Ingest.Compaction.GenerationsOpen)
+	}
+	rec = httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if !strings.Contains(rec.Body.String(), "ktpmd_generations_open 1\n") {
+		t.Error("/metrics ktpmd_generations_open is not 1 after one compaction")
 	}
 
 	// A read-only backend must not emit the write-path families.

@@ -151,6 +151,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauge("ktpmd_compaction_threshold", "Overlay entry count that triggers a compaction (0 or negative disables).", float64(st.Compaction.Threshold))
 		gauge("ktpmd_compaction_in_progress", "1 while a compaction is running.", boolGauge(st.Compaction.InProgress))
 		gauge("ktpmd_compaction_last_seconds", "Wall time of the last completed compaction.", st.Compaction.LastMS/1e3)
+		gauge("ktpmd_generations_open", "Base snapshot generations still open: the current one plus superseded ones pinned by in-flight reads.", float64(st.Compaction.GenerationsOpen))
 	}
 
 	if ss, ok := s.db.(shardStater); ok {

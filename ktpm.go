@@ -620,7 +620,9 @@ func (db *Database) TopKWith(q *Query, k int, opt Options) ([]Match, error) {
 // score order, for consumers that do not know k up front. Both *Stream
 // (single database) and *ShardStream (scatter-gather) implement it; the
 // server's NDJSON /stream endpoint is written against this interface.
-// Consumers that stop before exhaustion must call Close.
+// Consumers that stop before exhaustion must call Close: a stream opened
+// on a Live pins its epoch's snapshot generation until it is closed or
+// runs out, so an unclosed stream keeps that generation open.
 type MatchStream interface {
 	// Next returns the next match; ok is false when the space is
 	// exhausted or the stream is closed.
@@ -634,7 +636,8 @@ type MatchStream interface {
 // ordered by node bindings — for consumers that do not know k up front.
 // Drained to any k it is byte-identical to TopK(q, k).
 type Stream struct {
-	cs *lazy.CanonicalStream
+	cs      *lazy.CanonicalStream
+	release func() // unpins the generation a Live stream reads; may be nil
 }
 
 // Stream opens an incremental enumeration of q.
@@ -663,19 +666,30 @@ func (db *Database) OpenStream(q *Query, opt Options) (MatchStream, error) {
 }
 
 // Next returns the next match in canonical order; ok is false when the
-// space is exhausted.
+// space is exhausted or the stream is closed. Exhaustion closes the
+// stream.
 func (s *Stream) Next() (Match, bool) {
+	if s.cs == nil {
+		return Match{}, false
+	}
 	m, ok := s.cs.Next()
 	if !ok {
+		s.Close()
 		return Match{}, false
 	}
 	return Match{Nodes: m.Nodes, Score: m.Score}, true
 }
 
-// Close implements MatchStream. A single-database enumeration holds no
-// goroutines or external resources, so this is a no-op; it exists so
-// *Stream satisfies the interface the sharded stream needs.
-func (s *Stream) Close() {}
+// Close implements MatchStream: it ends the enumeration and, for a
+// stream opened on a Live, releases the snapshot generation it pins.
+// Idempotent.
+func (s *Stream) Close() {
+	s.cs = nil
+	if r := s.release; r != nil {
+		s.release = nil
+		r()
+	}
+}
 
 // BatchItem is one query of a TopKBatch call.
 type BatchItem struct {

@@ -78,6 +78,11 @@ type CompactionStats struct {
 	// failed compaction degrades nothing — the overlay keeps serving
 	// and the WAL keeps every acked record.
 	LastErr string `json:"last_err,omitempty"`
+	// GenerationsOpen is the number of base snapshots still open: the
+	// current one plus superseded ones that in-flight reads still pin.
+	// It settles at 1 (0 over an in-memory boot base) once those reads
+	// end; a count that keeps growing means a reader never released.
+	GenerationsOpen int64 `json:"generations_open"`
 }
 
 // IngestStats is the write path's health snapshot.
@@ -151,6 +156,14 @@ type pendingBatch struct {
 //
 // Live implements the same query surface as *Database (it is a valid
 // ktpmd serving backend); queries and Ingest may run concurrently.
+//
+// Every base snapshot — the boot database's, if it was opened from one,
+// and each compacted generation — is reference-counted: it stays open
+// while it is the current base or while a read over one of its epochs
+// is in flight, and the last release closes it (unmap, close the file,
+// drop decoded tables). A read pins its generation for the duration of
+// the call; a stream from OpenStream pins it until the stream is closed
+// or runs out, so an unclosed stream keeps its generation open.
 type Live struct {
 	dir       string
 	format    SnapshotFormat
@@ -160,19 +173,19 @@ type Live struct {
 	logger    *slog.Logger
 
 	wal *wal.Log
-	cur atomic.Pointer[Database]
+	cur atomic.Pointer[liveEpoch]
 
 	mu          sync.Mutex
 	baseClosure closure.TableSource
-	baseSnap    *closure.Snapshot // non-nil once a generation is serving
+	base        *generation // nil while serving from an in-memory boot base
 	combined    *graph.Graph
 	delta       *closure.Delta
 	pending     []pendingBatch
 	watermark   uint64
 	gen         int
 	genFile     string
-	retired     []*closure.Snapshot // superseded generations; closed at Close
-	closedFlag  bool
+	closed      atomic.Bool // set under mu; read lock-free by pin
+	gensOpen    atomic.Int64
 
 	epoch       atomic.Uint64
 	acked       atomic.Uint64
@@ -182,7 +195,7 @@ type Live struct {
 	compacting  atomic.Bool
 	lastCompact atomic.Uint64 // float64 ms bits
 	compactErr  atomic.Pointer[string]
-	ioBase      atomic.Pointer[IOStats] // counters from retired epochs
+	ioBase      atomic.Pointer[IOStats] // counters from superseded epochs
 
 	compactCh chan struct{}
 	closeCh   chan struct{}
@@ -191,6 +204,80 @@ type Live struct {
 }
 
 const liveCurrentFile = "CURRENT"
+
+// errLiveClosed fails reads issued after Live.Close.
+var errLiveClosed = errors.New("ktpm: read on closed Live")
+
+// generation is one base snapshot with its reference count: one
+// reference while it is Live's current base, plus one per read in
+// flight on an epoch built over it. The release that drops the count to
+// zero closes the snapshot; pin never revives a zero count, so no read
+// can reach a closed snapshot.
+type generation struct {
+	snap *closure.Snapshot
+	refs atomic.Int64
+	open *atomic.Int64 // Live.gensOpen
+}
+
+// newGeneration wraps snap holding its "current" reference.
+func (l *Live) newGeneration(snap *closure.Snapshot) *generation {
+	g := &generation{snap: snap, open: &l.gensOpen}
+	g.refs.Store(1)
+	l.gensOpen.Add(1)
+	return g
+}
+
+// pin takes a read reference; false once the count has reached zero.
+func (g *generation) pin() bool {
+	for {
+		n := g.refs.Load()
+		if n <= 0 {
+			return false
+		}
+		if g.refs.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
+// release drops one reference and closes the snapshot on the last.
+func (g *generation) release() {
+	if g.refs.Add(-1) == 0 {
+		g.snap.Close()
+		g.open.Add(-1)
+	}
+}
+
+// liveEpoch is one published serving state: the database and the base
+// generation it reads (nil over an in-memory boot base).
+type liveEpoch struct {
+	db  *Database
+	gen *generation
+}
+
+// unpin releases the reference pin took.
+func (ep *liveEpoch) unpin() {
+	if ep.gen != nil {
+		ep.gen.release()
+	}
+}
+
+// pin returns the current epoch with its generation pinned; the caller
+// must unpin it. A failed pin means the generation was superseded (the
+// swap publishes its successor before dropping the current reference)
+// or Live was closed, so it reloads the epoch until one pins or Close
+// is seen.
+func (l *Live) pin() (*liveEpoch, error) {
+	for {
+		if l.closed.Load() {
+			return nil, errLiveClosed
+		}
+		ep := l.cur.Load()
+		if ep.gen == nil || ep.gen.pin() {
+			return ep, nil
+		}
+	}
+}
 
 func liveGenName(gen int) string { return fmt.Sprintf("gen-%08d.snap", gen) }
 
@@ -202,6 +289,12 @@ func liveGenName(gen int) string { return fmt.Sprintf("gen-%08d.snap", gen) }
 // -snapshot input); databases built with MaxDistance truncation are
 // rejected, because a truncated closure cannot be maintained
 // incrementally.
+//
+// On success Live owns db's snapshot, if db was opened from one: it is
+// closed right away when a compacted generation replaces it, and
+// otherwise once the first compaction supersedes it and no read still
+// pins it. The caller must not query or Close db afterwards. If
+// OpenLive fails, db is left as it was and stays the caller's.
 func OpenLive(db *Database, cfg LiveConfig) (*Live, error) {
 	if db == nil {
 		return nil, fmt.Errorf("ktpm: OpenLive: nil database")
@@ -235,7 +328,6 @@ func OpenLive(db *Database, cfg LiveConfig) (*Live, error) {
 		blockSize:   db.opt.BlockSize,
 		logger:      logger,
 		baseClosure: db.c,
-		baseSnap:    db.snap,
 		combined:    db.g,
 		delta:       closure.NewDelta(),
 		compactCh:   make(chan struct{}, 1),
@@ -255,6 +347,7 @@ func OpenLive(db *Database, cfg LiveConfig) (*Live, error) {
 	// CURRENT names the generation snapshot that replaces the boot base
 	// and the WAL watermark it covers. Written atomically after every
 	// compaction; absent before the first one.
+	var restored *closure.Snapshot
 	if raw, err := os.ReadFile(filepath.Join(cfg.Dir, liveCurrentFile)); err == nil {
 		var name string
 		var wm uint64
@@ -269,7 +362,8 @@ func OpenLive(db *Database, cfg LiveConfig) (*Live, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ktpm: OpenLive: opening generation %s: %w", name, err)
 		}
-		l.baseClosure, l.baseSnap = snap, snap
+		restored = snap
+		l.baseClosure = snap
 		l.combined = snap.Graph()
 		l.watermark, l.gen, l.genFile = wm, gen, name
 		logger.Info("wal recovery: generation restored",
@@ -293,8 +387,8 @@ func OpenLive(db *Database, cfg LiveConfig) (*Live, error) {
 
 	l.wal, err = wal.Open(filepath.Join(cfg.Dir, "wal"), wal.Options{Policy: pol})
 	if err != nil {
-		if l.baseSnap != nil && l.baseSnap != db.snap {
-			l.baseSnap.Close()
+		if restored != nil {
+			restored.Close()
 		}
 		return nil, fmt.Errorf("ktpm: OpenLive: %w", err)
 	}
@@ -320,8 +414,8 @@ func OpenLive(db *Database, cfg LiveConfig) (*Live, error) {
 	})
 	if err != nil {
 		l.wal.Close()
-		if l.baseSnap != nil && l.baseSnap != db.snap {
-			l.baseSnap.Close()
+		if restored != nil {
+			restored.Close()
 		}
 		return nil, fmt.Errorf("ktpm: OpenLive: wal replay: %w", err)
 	}
@@ -334,6 +428,18 @@ func OpenLive(db *Database, cfg LiveConfig) (*Live, error) {
 		"fsync", ws.FsyncPolicy,
 	)
 
+	// Nothing can fail past this point, so Live takes the boot snapshot:
+	// a restored generation makes it dead weight now, and otherwise it
+	// is the first base generation, released like any other.
+	switch {
+	case restored != nil:
+		l.base = l.newGeneration(restored)
+		if db.snap != nil {
+			db.snap.Close()
+		}
+	case db.snap != nil:
+		l.base = l.newGeneration(db.snap)
+	}
 	l.publishLocked()
 	l.wg.Add(1)
 	go l.compactLoop()
@@ -395,7 +501,7 @@ func (l *Live) publishLocked() {
 	// that land on the old store after this capture are dropped — an
 	// undercount, never a regression.)
 	if prev := l.cur.Load(); prev != nil {
-		p := prev.IOStats()
+		p := prev.db.IOStats()
 		nb := *l.ioBase.Load()
 		nb.BlocksRead += p.BlocksRead
 		nb.EntriesRead += p.EntriesRead
@@ -404,7 +510,7 @@ func (l *Live) publishLocked() {
 		nb.TableHits += p.TableHits
 		l.ioBase.Store(&nb)
 	}
-	l.cur.Store(db)
+	l.cur.Store(&liveEpoch{db: db, gen: l.base})
 	l.epoch.Add(1)
 }
 
@@ -436,7 +542,7 @@ func (l *Live) Ingest(edges []IngestEdge) (lsn uint64, err error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closedFlag {
+	if l.closed.Load() {
 		return 0, fmt.Errorf("ktpm: Ingest on closed Live")
 	}
 	n := int32(l.combined.NumNodes())
@@ -535,11 +641,19 @@ func (l *Live) compact() error {
 	t0 := time.Now()
 
 	l.mu.Lock()
-	if l.closedFlag || l.delta.Entries() == 0 {
+	if l.closed.Load() || l.delta.Entries() == 0 {
 		l.mu.Unlock()
 		return nil
 	}
-	src := l.cur.Load().c
+	// The pin keeps the epoch's base open while it is written out, even
+	// if Close runs during a caller-driven Compact.
+	ep, err := l.pin()
+	if err != nil {
+		l.mu.Unlock()
+		return nil
+	}
+	defer ep.unpin()
+	src := ep.db.c
 	w := l.wal.NextLSN() - 1
 	gen := l.gen + 1
 	entries := l.delta.Entries()
@@ -547,7 +661,7 @@ func (l *Live) compact() error {
 
 	name := liveGenName(gen)
 	path := filepath.Join(l.dir, name)
-	err := fsio.WriteFileAtomic(path, func(out io.Writer) error {
+	err = fsio.WriteFileAtomic(path, func(out io.Writer) error {
 		if l.format == SnapshotV2 {
 			return closure.WriteSnapshotV2(out, src)
 		}
@@ -563,7 +677,7 @@ func (l *Live) compact() error {
 	}
 
 	l.mu.Lock()
-	if l.closedFlag {
+	if l.closed.Load() {
 		l.mu.Unlock()
 		snap.Close()
 		return nil
@@ -590,8 +704,12 @@ func (l *Live) compact() error {
 		delta.AddEdges(g2, pb.edges)
 		kept = append(kept, pb)
 	}
-	oldSnap, oldGenFile := l.baseSnap, l.genFile
-	l.baseClosure, l.baseSnap = snap, snap
+	// The swap publishes the new base before dropping the old one's
+	// current reference, so a reader whose pin fails on the old
+	// generation always finds its successor on reload. Reads still
+	// pinning the old generation keep it open; the last one closes it.
+	oldBase, oldGenFile := l.base, l.genFile
+	l.baseClosure, l.base = snap, l.newGeneration(snap)
 	l.combined, l.delta, l.pending = combined, delta, kept
 	l.gen, l.genFile, l.watermark = gen, name, w
 
@@ -607,17 +725,15 @@ func (l *Live) compact() error {
 		// just pays a longer WAL replay from the old generation. Keep
 		// the WAL intact.
 		l.publishLocked()
-		if oldSnap != nil {
-			l.retired = append(l.retired, oldSnap)
+		if oldBase != nil {
+			oldBase.release()
 		}
 		l.mu.Unlock()
 		return fmt.Errorf("writing CURRENT: %w", err)
 	}
 	l.publishLocked()
-	if oldSnap != nil {
-		// In-flight queries may still hold zero-copy views into the old
-		// generation; it is closed at Live.Close, not here.
-		l.retired = append(l.retired, oldSnap)
+	if oldBase != nil {
+		oldBase.release()
 	}
 	l.mu.Unlock()
 
@@ -645,7 +761,7 @@ func (l *Live) compact() error {
 func (l *Live) maybeCompactPostSwap() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.closedFlag {
+	if !l.closed.Load() {
 		l.maybeCompact()
 	}
 }
@@ -655,10 +771,20 @@ func (l *Live) maybeCompactPostSwap() {
 // is already running.
 func (l *Live) Compact() error { return l.compact() }
 
-// Current returns the serving database for the newest published epoch.
-// The returned *Database is immutable and remains valid (and correct
-// for its epoch) after further ingests.
-func (l *Live) Current() *Database { return l.cur.Load() }
+// Acquire returns the serving database for the newest published epoch
+// with its base generation pinned, and the function that releases the
+// pin. The *Database is immutable and correct for its epoch across
+// further ingests and compactions, but only until release is called:
+// after that its snapshot may be closed (under mmap, unmapped) by a
+// compaction. Call release exactly once. After Close, Acquire returns a
+// nil *Database and a no-op release.
+func (l *Live) Acquire() (*Database, func()) {
+	ep, err := l.pin()
+	if err != nil {
+		return nil, func() {}
+	}
+	return ep.db, ep.unpin
+}
 
 // Epoch returns the serving epoch, incremented by every publish.
 // Cache keys prefixed with it can never serve a pre-write answer
@@ -682,12 +808,13 @@ func (l *Live) IngestStats() IngestStats {
 			Watermark:      l.watermark,
 		},
 		Compaction: CompactionStats{
-			Count:          l.compactions.Load(),
-			Generation:     l.gen,
-			GenerationFile: l.genFile,
-			Threshold:      l.threshold,
-			InProgress:     l.compacting.Load(),
-			LastMS:         math.Float64frombits(l.lastCompact.Load()),
+			Count:           l.compactions.Load(),
+			Generation:      l.gen,
+			GenerationFile:  l.genFile,
+			Threshold:       l.threshold,
+			InProgress:      l.compacting.Load(),
+			LastMS:          math.Float64frombits(l.lastCompact.Load()),
+			GenerationsOpen: l.gensOpen.Load(),
 		},
 	}
 	l.mu.Unlock()
@@ -698,26 +825,22 @@ func (l *Live) IngestStats() IngestStats {
 	return st
 }
 
-// Close stops the compactor, syncs and closes the WAL, and releases
-// every generation snapshot (current and retired). Call it only after
-// queries have stopped — mmap-backed epochs hold views into the
-// generation files. Idempotent.
+// Close stops the compactor, syncs and closes the WAL, and drops the
+// current generation's reference. A generation that reads still pin —
+// including one under a stream not yet closed — stays open until its
+// last pin is released. Reads issued after Close fail. Idempotent.
 func (l *Live) Close() error {
 	var err error
 	l.closeOnce.Do(func() {
 		close(l.closeCh)
 		l.wg.Wait()
 		l.mu.Lock()
-		l.closedFlag = true
-		snaps := append([]*closure.Snapshot(nil), l.retired...)
-		if l.baseSnap != nil {
-			snaps = append(snaps, l.baseSnap)
-		}
-		l.retired = nil
+		l.closed.Store(true)
+		base := l.base
 		l.mu.Unlock()
 		err = l.wal.Close()
-		for _, s := range snaps {
-			s.Close()
+		if base != nil {
+			base.release()
 		}
 	})
 	return err
@@ -727,39 +850,75 @@ func (l *Live) Close() error {
 //
 // Every query-surface method serves from the newest published epoch;
 // a request that started on epoch E keeps its consistent *Database
-// even if ingests publish E+1 mid-flight.
+// even if ingests publish E+1 mid-flight. Methods that read closure
+// tables pin E's generation for the call; parsing and the graph live
+// on the heap and need no pin.
 
 // ParseQuery parses against the current epoch's graph.
-func (l *Live) ParseQuery(s string) (*Query, error) { return l.cur.Load().ParseQuery(s) }
+func (l *Live) ParseQuery(s string) (*Query, error) { return l.cur.Load().db.ParseQuery(s) }
 
 // TopK answers from the current epoch.
-func (l *Live) TopK(q *Query, k int) ([]Match, error) { return l.cur.Load().TopK(q, k) }
+func (l *Live) TopK(q *Query, k int) ([]Match, error) { return l.TopKWith(q, k, Options{}) }
 
 // TopKWith answers from the current epoch.
 func (l *Live) TopKWith(q *Query, k int, opt Options) ([]Match, error) {
-	return l.cur.Load().TopKWith(q, k, opt)
+	ep, err := l.pin()
+	if err != nil {
+		return nil, err
+	}
+	defer ep.unpin()
+	return ep.db.TopKWith(q, k, opt)
 }
 
-// TopKBatch answers from the current epoch.
-func (l *Live) TopKBatch(items []BatchItem) []BatchResult { return l.cur.Load().TopKBatch(items) }
+// TopKBatch answers every item from the same current epoch.
+func (l *Live) TopKBatch(items []BatchItem) []BatchResult {
+	ep, err := l.pin()
+	if err != nil {
+		out := make([]BatchResult, len(items))
+		for i := range out {
+			out[i].Err = err
+		}
+		return out
+	}
+	defer ep.unpin()
+	return ep.db.TopKBatch(items)
+}
 
 // OpenStream streams from the epoch current at open; matches remain
-// internally consistent even when ingests land mid-stream.
+// internally consistent even when ingests land mid-stream. The stream
+// pins that epoch's generation until it is closed or runs out.
 func (l *Live) OpenStream(q *Query, opt Options) (MatchStream, error) {
-	return l.cur.Load().OpenStream(q, opt)
+	ep, err := l.pin()
+	if err != nil {
+		return nil, err
+	}
+	st, err := ep.db.StreamWith(q, opt)
+	if err != nil {
+		ep.unpin()
+		return nil, err
+	}
+	st.release = ep.unpin
+	return st, nil
 }
 
 // Explain plans against the current epoch.
-func (l *Live) Explain(q *Query) (*Plan, error) { return l.cur.Load().Explain(q) }
+func (l *Live) Explain(q *Query) (*Plan, error) {
+	ep, err := l.pin()
+	if err != nil {
+		return nil, err
+	}
+	defer ep.unpin()
+	return ep.db.Explain(q)
+}
 
 // Graph returns the current epoch's graph (boot base plus every acked
 // edge).
-func (l *Live) Graph() *Graph { return l.cur.Load().Graph() }
+func (l *Live) Graph() *Graph { return l.cur.Load().db.Graph() }
 
 // IOStats accumulates the simulated-I/O counters across epochs, so the
 // totals stay monotonic when publishes swap the underlying store.
 func (l *Live) IOStats() IOStats {
-	out := l.cur.Load().IOStats()
+	out := l.cur.Load().db.IOStats()
 	b := l.ioBase.Load()
 	out.BlocksRead += b.BlocksRead
 	out.EntriesRead += b.EntriesRead
@@ -770,14 +929,18 @@ func (l *Live) IOStats() IOStats {
 }
 
 // SnapshotStats reports the current generation's snapshot backing;
-// ok=false while still serving from a non-snapshot boot base.
+// ok=false while still serving from a non-snapshot boot base, and after
+// Close.
 func (l *Live) SnapshotStats() (SnapshotStats, bool) {
-	l.mu.Lock()
-	snap := l.baseSnap
-	l.mu.Unlock()
-	if snap == nil {
+	ep, err := l.pin()
+	if err != nil {
 		return SnapshotStats{}, false
 	}
+	defer ep.unpin()
+	if ep.gen == nil {
+		return SnapshotStats{}, false
+	}
+	snap := ep.gen.snap
 	st := SnapshotStats{
 		Mode:         snap.Mode().String(),
 		Format:       snap.Format(),

@@ -4,7 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -65,7 +69,8 @@ var liveQueries = []string{"a(b)", "a(b,c(d))", "a(*,c)", "a(/b)", "c(d,e)", "e"
 // combined edge set — unsharded and at shard counts {1, 2, 4}.
 func assertLiveMatchesReference(t *testing.T, tag string, live *Live, ref *Database) {
 	t.Helper()
-	cur := live.Current()
+	cur, release := live.Acquire()
+	defer release()
 	sharded := make(map[int]*ShardedDatabase)
 	for _, n := range []int{1, 2, 4} {
 		sh, err := cur.Shard(n, PartitionByLabel())
@@ -320,9 +325,13 @@ func TestLiveIngestValidation(t *testing.T) {
 	}
 }
 
-// TestLiveConcurrentQueryIngest runs queries against the live backend
-// while batches land and a compaction swaps the base underneath them —
-// the atomic-publish invariant under -race.
+// TestLiveConcurrentQueryIngest runs every pinning read — TopKWith,
+// TopKBatch, Explain and streams — against the live backend while
+// batches land and compactions swap mmap generations underneath them:
+// the atomic-publish and pin invariants under -race. Ingest only adds
+// edges, so the match count a reader sees for one query never shrinks;
+// a read served from a closed generation sees empty tables and would
+// break that (or fault on the unmapped file).
 func TestLiveConcurrentQueryIngest(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	labels, baseEdges := liveBase(rng, 60)
@@ -339,6 +348,15 @@ func TestLiveConcurrentQueryIngest(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			seen := make(map[string]int64) // read kind + query -> last count
+			grew := func(key string, n int64) bool {
+				if n < seen[key] {
+					t.Errorf("reader %d: %s fell from %d to %d", w, key, seen[key], n)
+					return false
+				}
+				seen[key] = n
+				return true
+			}
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -351,9 +369,50 @@ func TestLiveConcurrentQueryIngest(t *testing.T) {
 					t.Errorf("parse %q: %v", qs, err)
 					return
 				}
-				if _, err := live.TopKWith(q, 10, Options{}); err != nil {
-					t.Errorf("query %q: %v", qs, err)
-					return
+				switch i % 4 {
+				case 0:
+					ms, err := live.TopKWith(q, 5000, Options{})
+					if err != nil {
+						t.Errorf("query %q: %v", qs, err)
+						return
+					}
+					if !grew("topk "+qs, int64(len(ms))) {
+						return
+					}
+				case 1:
+					res := live.TopKBatch([]BatchItem{{Query: q, K: 5000}})
+					if res[0].Err != nil {
+						t.Errorf("batch %q: %v", qs, res[0].Err)
+						return
+					}
+					if !grew("batch "+qs, int64(len(res[0].Matches))) {
+						return
+					}
+				case 2:
+					p, err := live.Explain(q)
+					if err != nil {
+						t.Errorf("explain %q: %v", qs, err)
+						return
+					}
+					if !grew("explain "+qs, p.TotalMatches) {
+						return
+					}
+				case 3:
+					st, err := live.OpenStream(q, Options{})
+					if err != nil {
+						t.Errorf("stream %q: %v", qs, err)
+						return
+					}
+					n := int64(0)
+					for ; n < 5000; n++ {
+						if _, ok := st.Next(); !ok {
+							break
+						}
+					}
+					st.Close()
+					if !grew("stream "+qs, n) {
+						return
+					}
 				}
 			}
 		}(w)
@@ -366,14 +425,272 @@ func TestLiveConcurrentQueryIngest(t *testing.T) {
 			t.Fatal(err)
 		}
 		all = append(all, edges...)
+		if batch%3 == 2 {
+			if err := live.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	close(stop)
 	wg.Wait()
-	if err := live.Compact(); err != nil { // drain whatever is left, deterministically
-		t.Fatal(err)
+	// Drain whatever is left, deterministically. Compact is a no-op while
+	// a background compaction runs, so repeat until the overlay is empty
+	// and no compaction (which holds a pin of its own) is in flight.
+	for st := live.IngestStats(); st.Overlay.Entries > 0 || st.Compaction.InProgress; st = live.IngestStats() {
+		if err := live.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.Gosched()
 	}
 	assertLiveMatchesReference(t, "after concurrent traffic", live, buildLiveDB(t, labels, all))
+	if n := live.IngestStats().Compaction.GenerationsOpen; n != 1 {
+		t.Fatalf("generations open after readers stopped = %d, want 1", n)
+	}
 	if err := live.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if n := live.IngestStats().Compaction.GenerationsOpen; n != 0 {
+		t.Fatalf("generations open after Close = %d, want 0", n)
+	}
+}
+
+// snapHandles counts the open file descriptors and memory mappings of
+// .snap files under dir held by this process, from /proc/self. ok is
+// false off Linux.
+func snapHandles(t *testing.T, dir string) (fds, maps int, ok bool) {
+	t.Helper()
+	if runtime.GOOS != "linux" {
+		return 0, 0, false
+	}
+	isSnap := func(p string) bool {
+		return strings.HasPrefix(p, dir) && strings.Contains(p, ".snap")
+	}
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", e.Name())); err == nil && isSnap(target) {
+			fds++
+		}
+	}
+	raw, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		// The path is the sixth field; it may carry a " (deleted)" tail.
+		if f := strings.Fields(line); len(f) >= 6 && isSnap(strings.Join(f[5:], " ")) {
+			maps++
+		}
+	}
+	return fds, maps, true
+}
+
+// openLiveOverSnapshot writes the base as a v2 snapshot, opens it in
+// mode, and hands it to OpenLive, so the boot base is itself a
+// generation Live must release.
+func openLiveOverSnapshot(t *testing.T, dir string, mode SnapshotMode, labels []string, edges []IngestEdge) *Live {
+	t.Helper()
+	path := filepath.Join(dir, "boot.snap")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveSnapshotAs(f, buildLiveDB(t, labels, edges), SnapshotV2); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err := OpenSnapshot(path, SnapshotOptions{Mode: mode, BlockSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := OpenLive(db, LiveConfig{
+		Dir: filepath.Join(dir, "wal"), Fsync: "never", CompactThreshold: -1,
+		SnapshotFormat: SnapshotV2, SnapshotMode: mode,
+	})
+	if err != nil {
+		db.Close()
+		t.Fatal(err)
+	}
+	return live
+}
+
+// TestLiveGenerationsClose: compaction closes every superseded
+// generation, the boot snapshot included, in each backing mode — after
+// 30 single-edge compactions one generation is open and at most one
+// .snap descriptor (lazy) or mapping (mmap) remains.
+func TestLiveGenerationsClose(t *testing.T) {
+	for _, mode := range allSnapshotModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			labels, baseEdges := liveBase(rng, 40)
+			dir := t.TempDir()
+			live := openLiveOverSnapshot(t, dir, mode, labels, baseEdges)
+			defer live.Close()
+			for i, e := range liveNewEdges(rng, 40, 30) {
+				if _, err := live.Ingest([]IngestEdge{e}); err != nil {
+					t.Fatal(err)
+				}
+				if err := live.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				if got := live.IngestStats().Compaction.Count; got != uint64(i+1) {
+					t.Fatalf("compactions = %d after %d ingests", got, i+1)
+				}
+			}
+			if n := live.IngestStats().Compaction.GenerationsOpen; n != 1 {
+				t.Fatalf("generations open = %d, want 1", n)
+			}
+			if fds, maps, ok := snapHandles(t, dir); ok && (fds > 1 || maps > 1) {
+				t.Fatalf("after 30 compactions: %d .snap descriptors and %d .snap mappings open, want at most 1 each", fds, maps)
+			}
+			if err := live.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if fds, maps, ok := snapHandles(t, dir); ok && fds+maps != 0 {
+				t.Fatalf("after Close: %d .snap descriptors and %d .snap mappings open", fds, maps)
+			}
+		})
+	}
+}
+
+// TestLivePinnedGenerationOutlivesCompaction holds a stream and an
+// Acquire on one mmap generation across three compactions: both keep
+// answering byte-identically to that epoch's from-scratch rebuild, and
+// the generation is unmapped only once both are released.
+func TestLivePinnedGenerationOutlivesCompaction(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	labels, baseEdges := liveBase(rng, 50)
+	dir := t.TempDir()
+	live := openLiveOverSnapshot(t, dir, SnapshotMMap, labels, baseEdges)
+	defer live.Close()
+
+	all := append([]IngestEdge(nil), baseEdges...)
+	ingest := func(n int) {
+		t.Helper()
+		edges := liveNewEdges(rng, 50, n)
+		if _, err := live.Ingest(edges); err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, edges...)
+	}
+	// Pin the epoch published by the first compaction: no overlay, so
+	// every table its reads carve comes off generation 1's mapping.
+	ingest(5)
+	if err := live.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	pinnedFile := live.IngestStats().Compaction.GenerationFile
+	ref := buildLiveDB(t, labels, all)
+
+	const qs = "a(b,c(d))"
+	q, err := live.ParseQuery(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := live.OpenStream(q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	db, release := live.Acquire()
+	released := false
+	defer func() {
+		if !released {
+			release()
+		}
+	}()
+
+	// Nothing is read before the swaps, so every table the pinned reads
+	// need is faulted from generation 1 after it stopped being current.
+	for i := 0; i < 3; i++ {
+		ingest(2)
+		if err := live.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mapped := func() bool {
+		raw, err := os.ReadFile("/proc/self/maps")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Contains(string(raw), filepath.Join(dir, "wal", pinnedFile))
+	}
+	linux := runtime.GOOS == "linux"
+	if n := live.IngestStats().Compaction.GenerationsOpen; n != 2 {
+		t.Fatalf("generations open with a pinned epoch = %d, want 2", n)
+	}
+	if linux && !mapped() {
+		t.Fatalf("pinned generation %s was unmapped under its readers", pinnedFile)
+	}
+
+	var got []Match
+	for {
+		m, ok := st.Next()
+		if !ok {
+			break
+		}
+		got = append(got, m)
+	}
+	rs := ref.Stream(mustParse(t, ref, qs))
+	var want []Match
+	for {
+		m, ok := rs.Next()
+		if !ok {
+			break
+		}
+		want = append(want, m)
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("pinned stream: %d matches differ from its epoch's rebuild (%d matches)", len(got), len(want))
+	}
+	// The drained stream released its pin; the Acquire still holds one.
+	if n := live.IngestStats().Compaction.GenerationsOpen; n != 2 {
+		t.Fatalf("generations open with only the Acquire pin = %d, want 2", n)
+	}
+	// AlgoTopk builds its run-time graph straight from the closure
+	// tables, which under mmap are views into the generation's mapping.
+	// Only Topk-EN fixes the order within a tie, so compare scores.
+	scores := func(ms []Match) []int64 {
+		out := make([]int64, len(ms))
+		for i, m := range ms {
+			out[i] = m.Score
+		}
+		return out
+	}
+	for _, qs := range liveQueries {
+		for _, algo := range []Algorithm{AlgoTopkEN, AlgoTopk} {
+			gotK, err := db.TopKWith(mustParse(t, db, qs), 5000, Options{Algorithm: algo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantK, err := ref.TopKWith(mustParse(t, ref, qs), 5000, Options{Algorithm: algo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(scores(gotK), scores(wantK)) || (algo == AlgoTopkEN && !reflect.DeepEqual(gotK, wantK)) {
+				t.Fatalf("pinned Acquire %v %q differs from its epoch's rebuild", algo, qs)
+			}
+		}
+	}
+	release()
+	released = true
+	if n := live.IngestStats().Compaction.GenerationsOpen; n != 1 {
+		t.Fatalf("generations open after both pins released = %d, want 1", n)
+	}
+	if linux && mapped() {
+		t.Fatalf("generation %s still mapped after its last pin was released", pinnedFile)
+	}
+}
+
+func mustParse(t *testing.T, db *Database, s string) *Query {
+	t.Helper()
+	q, err := db.ParseQuery(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
 }
