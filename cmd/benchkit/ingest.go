@@ -60,7 +60,6 @@ func runIngestSweep(ops int) ([]*bench.IngestRow, error) {
 				Dir:              dir,
 				Fsync:            fsync,
 				CompactThreshold: -1, // compaction timed explicitly below
-				SnapshotFormat:   ktpm.SnapshotV2,
 			})
 			if err != nil {
 				os.RemoveAll(dir)

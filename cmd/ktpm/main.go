@@ -3,7 +3,7 @@
 // Usage:
 //
 //	ktpm -graph g.txt -query "a(b,c(d))" -k 20 [-algo topk-en] [-count]
-//	ktpm -graph g.txt -save-snapshot g.snap -snapshot-format v2
+//	ktpm -graph g.txt -save-snapshot g.snap
 //	ktpm -verify-snapshot g.snap
 //
 // The graph file uses the library text format ("n <id> <label>" and
@@ -28,14 +28,13 @@ import (
 func main() {
 	var (
 		graphPath = flag.String("graph", "", "path to the data graph file")
-		snapPath  = flag.String("snapshot", "", "path to a KTPMSNAP1/2 snapshot (alternative to -graph; see -snapshot-mode)")
+		snapPath  = flag.String("snapshot", "", "path to a KTPMSNAP2 snapshot (alternative to -graph; see -snapshot-mode)")
 		snapMode  = flag.String("snapshot-mode", "mmap", "snapshot table backing: eager, lazy, or mmap")
-		saveSnap  = flag.String("save-snapshot", "", "write a snapshot here (openable eagerly, lazily, or via mmap; see -snapshot-format)")
-		snapFmt   = flag.String("snapshot-format", "v1", "snapshot layout for -save-snapshot: v1 (row-major KTPMSNAP1) or v2 (columnar KTPMSNAP2)")
+		saveSnap  = flag.String("save-snapshot", "", "write a KTPMSNAP2 snapshot here (openable eagerly, lazily, or via mmap)")
 		queryStr  = flag.String("query", "", "query tree, e.g. \"a(b,c(d))\"")
 		k         = flag.Int("k", 10, "number of matches to return")
 		algoName  = flag.String("algo", "topk-en", "algorithm: topk-en, topk, dp-b, dp-p")
-		verify    = flag.String("verify-snapshot", "", "validate a KTPMSNAP1/2 snapshot — magic, header/directory bounds, the CRC32C trailer when present, and every table payload — then exit (0 healthy, nonzero corrupt)")
+		verify    = flag.String("verify-snapshot", "", "validate a KTPMSNAP2 snapshot — magic, header/directory bounds, the CRC32C trailer when present, and every table payload — then exit (0 healthy, nonzero corrupt)")
 		count     = flag.Bool("count", false, "also print the total number of matches")
 		explain   = flag.Bool("explain", false, "print the query plan before running")
 		quiet     = flag.Bool("quiet", false, "print scores only")
@@ -67,10 +66,6 @@ func main() {
 	if !ok {
 		fatalf("unknown snapshot mode %q (want eager, lazy, mmap)", *snapMode)
 	}
-	format, ok := ktpm.ParseSnapshotFormat(*snapFmt)
-	if !ok {
-		fatalf("unknown snapshot format %q (want v1, v2)", *snapFmt)
-	}
 
 	var db *ktpm.Database
 	if *snapPath != "" {
@@ -82,7 +77,7 @@ func main() {
 		}
 		defer db.Close()
 		ss, _ := db.SnapshotStats()
-		fmt.Printf("snapshot opened in %v (%s mode, %s format)\n", time.Since(t0).Round(time.Microsecond), ss.Mode, ss.Format)
+		fmt.Printf("snapshot opened in %v (%s mode)\n", time.Since(t0).Round(time.Microsecond), ss.Mode)
 	} else {
 		f, err := os.Open(*graphPath)
 		if err != nil {
@@ -108,11 +103,11 @@ func main() {
 		// behind, never a torn file, and an existing file at the path
 		// survives any failure intact.
 		if err := fsio.WriteFileAtomic(*saveSnap, func(w io.Writer) error {
-			return ktpm.SaveSnapshotAs(w, db, format)
+			return ktpm.SaveSnapshot(w, db)
 		}); err != nil {
 			fatalf("save %s: %v", *saveSnap, err)
 		}
-		fmt.Printf("%s snapshot written to %s\n", format, *saveSnap)
+		fmt.Printf("snapshot written to %s\n", *saveSnap)
 		if *queryStr == "" {
 			return
 		}
@@ -163,8 +158,8 @@ func verifySnapshot(path string) {
 	if !rep.Checksummed {
 		sum = "unchecksummed (pre-checksum file: structural validation only)"
 	}
-	fmt.Printf("%s: OK — %s format, %d tables, %d entries, %d bytes, %s\n",
-		path, rep.Format, rep.Tables, rep.Entries, rep.SizeBytes, sum)
+	fmt.Printf("%s: OK — %d tables, %d entries, %d bytes, %s\n",
+		path, rep.Tables, rep.Entries, rep.SizeBytes, sum)
 }
 
 func fatalf(format string, args ...any) {

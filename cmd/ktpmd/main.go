@@ -1,7 +1,7 @@
 // Command ktpmd serves top-k tree-matching queries over HTTP.
 //
 // It loads a data graph (building the closure at startup) or a
-// KTPMSNAP1/2 snapshot (see ktpm -save-snapshot) — the latter openable
+// KTPMSNAP2 snapshot (see ktpm -save-snapshot) — the latter openable
 // lazily or via mmap so the daemon starts serving in O(directory) time
 // instead of re-materializing the whole closure — then answers concurrent queries against the one
 // shared database, optionally partitioned across shards that
@@ -83,7 +83,7 @@ import (
 func main() {
 	var (
 		graphPath   = flag.String("graph", "", "path to the data graph file")
-		snapPath    = flag.String("snapshot", "", "path to a KTPMSNAP1/2 snapshot (alternative to -graph; format detected by magic, see -snapshot-mode)")
+		snapPath    = flag.String("snapshot", "", "path to a KTPMSNAP2 snapshot (alternative to -graph; see -snapshot-mode)")
 		snapMode    = flag.String("snapshot-mode", "mmap", "snapshot table backing: eager (decode all at open), lazy (fault tables on demand), or mmap (zero-copy views, falls back to lazy without mmap)")
 		addr        = flag.String("addr", ":8080", "listen address")
 		concurrency = flag.Int("concurrency", 0, "worker pool size (0 = GOMAXPROCS)")
@@ -106,7 +106,6 @@ func main() {
 		walDir       = flag.String("wal-dir", "", "enable the crash-safe write path (/ingest): directory for the write-ahead log, compacted generation snapshots, and the CURRENT pointer (empty = read-only; requires -role serve and -shards 1)")
 		fsyncPolicy  = flag.String("fsync", "always", "WAL durability policy with -wal-dir: always (fsync before every ack), interval (fsync every 100ms; a crash may lose the acked tail), or never (fsync only on rotation and shutdown)")
 		compactThr   = flag.Int("compact-threshold", 0, "with -wal-dir, drain the in-memory overlay into a new snapshot generation once it holds this many closure entries (0 = default 100000, negative disables background compaction)")
-		walGenFormat = flag.String("wal-gen-format", "v2", "snapshot format for compacted generations: v1 (row-major) or v2 (columnar)")
 		maxQueueWait = flag.Duration("max-queue-wait", 2*time.Second, "shed a request with 429 when its estimated admission-queue wait exceeds this (0 disables predictive shedding)")
 		memSoft      = flag.String("mem-soft-limit", "", "heap soft limit with an optional KiB/MiB/GiB suffix (e.g. 512MiB): approaching it progressively shrinks the result cache, stops cache admission, then sheds uncached requests with 429; also sets the Go runtime's soft memory limit (empty disables)")
 		maxBody      = flag.Int64("max-body-bytes", 0, "largest accepted POST body in bytes, answered 413 beyond it (0 = default 4MiB, negative disables the cap)")
@@ -168,11 +167,6 @@ func main() {
 	}
 	if *degraded != "partial" && *degraded != "fail" {
 		fmt.Fprintf(os.Stderr, "ktpmd: unknown degraded policy %q (want partial or fail)\n", *degraded)
-		os.Exit(2)
-	}
-	genFormat, ok := ktpm.ParseSnapshotFormat(*walGenFormat)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "ktpmd: unknown -wal-gen-format %q (want v1 or v2)\n", *walGenFormat)
 		os.Exit(2)
 	}
 	if *walDir != "" && (*role != "serve" || *shards > 1) {
@@ -284,7 +278,6 @@ func main() {
 			Dir:              *walDir,
 			Fsync:            *fsyncPolicy,
 			CompactThreshold: *compactThr,
-			SnapshotFormat:   genFormat,
 			SnapshotMode:     mode,
 			Logger:           logger,
 		})
@@ -580,17 +573,15 @@ func loadDatabase(logger *slog.Logger, graphPath, snapPath string, mode ktpm.Sna
 		logger.Info("snapshot opened",
 			"elapsed", elapsed.Round(time.Microsecond).String(),
 			"mode", ss.Mode,
-			"format", ss.Format,
 			"entries", entries,
 			"tables", tables,
 			"mb", float64(size)/1e6,
 			"tables_resident", ss.TablesLoaded,
 		)
 		return db, server.StartupInfo{
-			Source:         "snapshot",
-			SnapshotMode:   ss.Mode,
-			SnapshotFormat: ss.Format,
-			OpenMS:         float64(elapsed.Microseconds()) / 1000,
+			Source:       "snapshot",
+			SnapshotMode: ss.Mode,
+			OpenMS:       float64(elapsed.Microseconds()) / 1000,
 		}, nil
 	}
 	f, err := os.Open(graphPath)

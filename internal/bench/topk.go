@@ -69,7 +69,7 @@ type BatchRow struct {
 // BENCH_topk.json: how long opening a database takes — and how much the
 // first query then pays — per acquisition mode at a given graph size.
 // Mode "build" is BuildDatabase from the raw graph (closure computed at
-// startup); "eager", "lazy", and "mmap" open a prepared KTPMSNAP1
+// startup); "eager", "lazy", and "mmap" open a prepared
 // snapshot (ktpm.OpenSnapshot). Lazy and mmap open in O(directory) time,
 // which is the headline: open_ms collapses while first_query_ms pays a
 // modest fault-in premium once.
@@ -83,7 +83,7 @@ type StartupRow struct {
 	// FirstQueryMS is the mean wall time of the first TopK on the fresh
 	// database — where lazy modes pay their deferred table faults.
 	FirstQueryMS float64 `json:"first_query_ms"`
-	// SnapshotBytes is the KTPMSNAP1 file size (0 for "build" rows).
+	// SnapshotBytes is the snapshot file size (0 for "build" rows).
 	SnapshotBytes int64 `json:"snapshot_bytes"`
 }
 

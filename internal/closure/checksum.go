@@ -18,16 +18,16 @@ import (
 //	         uint32 dirCRC             — over the raw directory rows
 //	         numTables × uint32        — per-table payload CRC, directory
 //	                                     order, over the table's full
-//	                                     span (v2 spans include the
-//	                                     inter-column alignment padding)
+//	                                     span (inter-column alignment
+//	                                     padding included)
 //	footer   [8]  magic "KTPMCRC1"     — last 32 bytes of the file
 //	         [8]  int64 trailerOff
 //	         [4]  uint32 trailerLen
 //	         [4]  uint32 trailerCRC    — over the trailer bytes
 //	         [8]  reserved (zero)
 //
-// The trailer lives past every offset the v1/v2 directory can
-// reference, so files carrying it open unchanged under old readers,
+// The trailer lives past every offset the directory can reference, so
+// files carrying it open unchanged under old readers,
 // and old files (no footer magic) open under new readers as
 // "unchecksummed" — Checksummed reports which. Header, graph,
 // directory, and trailer CRCs are verified at open (preserving the
@@ -137,16 +137,6 @@ func readSnapshotTrailer(r io.ReaderAt, size, payloadEnd int64, hdr, dirRaw []by
 	return tableCRCs, true, nil
 }
 
-// tableSpan returns the byte width of directory entry d's payload —
-// what the writer hashed for its per-table CRC.
-func (s *Snapshot) tableSpan(d *snapDirEnt) int64 {
-	if s.version == snapVersion2 {
-		_, _, total := colsSpan(d.count)
-		return total
-	}
-	return d.count * EntrySize
-}
-
 // verifyTableCRC checks raw (the full payload span of dir[i]) against
 // the trailer CRC. A no-op on unchecksummed snapshots.
 func (s *Snapshot) verifyTableCRC(i int, raw []byte) error {
@@ -166,7 +156,6 @@ func (s *Snapshot) Checksummed() bool { return s.tableCRCs != nil }
 
 // VerifyReport is VerifySnapshotFile's summary of a healthy snapshot.
 type VerifyReport struct {
-	Format      string // "v1" or "v2"
 	Mode        string // backing mode used for verification
 	Tables      int
 	Entries     int64
@@ -178,7 +167,7 @@ type VerifyReport struct {
 // magic and version, header bounds, directory ordering/bounds/
 // alignment, the checksum trailer when present (header, graph,
 // directory, and every table payload CRC), and full structural
-// validation of every table's entries against the graph. It faults
+// validation of every table's columns against the graph. It faults
 // every table, so cost is proportional to file size. Old-format files
 // (no trailer) pass with Checksummed=false — structural validation
 // still runs, but bit rot inside a structurally-plausible payload is
@@ -201,7 +190,6 @@ func VerifySnapshotFile(path string) (VerifyReport, error) {
 	}
 	defer s.Close()
 	rep := VerifyReport{
-		Format:      s.Format(),
 		Mode:        s.Mode().String(),
 		Tables:      s.NumTables(),
 		Entries:     s.NumEntries(),
@@ -209,13 +197,7 @@ func VerifySnapshotFile(path string) (VerifyReport, error) {
 		SizeBytes:   fi.Size(),
 	}
 	for i := range s.dir {
-		var err error
-		if s.version == snapVersion2 {
-			_, err = s.loadCols(i)
-		} else {
-			_, err = s.load(i)
-		}
-		if err != nil {
+		if _, err := s.loadCols(i); err != nil {
 			return rep, err
 		}
 	}

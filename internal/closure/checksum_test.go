@@ -20,11 +20,7 @@ func snapLayout(t *testing.T, raw []byte) (payloadOff, payloadSpan, trailerBytes
 	}
 	row := raw[dirOff:]
 	payloadOff = int64(binary.LittleEndian.Uint64(row[8:16]))
-	count := int64(binary.LittleEndian.Uint64(row[16:24]))
-	payloadSpan = count * EntrySize
-	if binary.LittleEndian.Uint32(raw[10:14]) == snapVersion2 {
-		_, _, payloadSpan = colsSpan(count)
-	}
+	_, _, payloadSpan = colsSpan(int64(binary.LittleEndian.Uint64(row[16:24])))
 	return payloadOff, payloadSpan, int64(snapTrailerFix+4*numTables) + snapFooterSize
 }
 
@@ -37,32 +33,30 @@ func checksumFixture(t *testing.T) TableSource {
 
 func TestSnapshotChecksumRoundTrip(t *testing.T) {
 	src := checksumFixture(t)
-	for _, v2 := range []bool{false, true} {
-		path := t.TempDir() + "/c.snap"
-		if err := writeSnapshotFile(path, src, v2); err != nil {
-			t.Fatal(err)
-		}
-		for _, mode := range []SnapMode{SnapEager, SnapLazy, SnapMMap} {
-			s, err := OpenSnapshotFile(path, mode)
-			if err != nil {
-				t.Fatalf("v2=%v mode=%v: %v", v2, mode, err)
-			}
-			if !s.Checksummed() {
-				t.Fatalf("v2=%v mode=%v: fresh snapshot not checksummed", v2, mode)
-			}
-			assertSameSource(t, s, src)
-			if err := s.Err(); err != nil {
-				t.Fatalf("v2=%v mode=%v: fault error: %v", v2, mode, err)
-			}
-			s.Close()
-		}
-		rep, err := VerifySnapshotFile(path)
+	path := t.TempDir() + "/c.snap"
+	if err := writeSnapshotFile(path, src); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []SnapMode{SnapEager, SnapLazy, SnapMMap} {
+		s, err := OpenSnapshotFile(path, mode)
 		if err != nil {
-			t.Fatalf("v2=%v: verify: %v", v2, err)
+			t.Fatalf("mode=%v: %v", mode, err)
 		}
-		if !rep.Checksummed || rep.Tables != src.NumTables() || rep.Entries != src.NumEntries() {
-			t.Fatalf("v2=%v: verify report %+v", v2, rep)
+		if !s.Checksummed() {
+			t.Fatalf("mode=%v: fresh snapshot not checksummed", mode)
 		}
+		assertSameSource(t, s, src)
+		if err := s.Err(); err != nil {
+			t.Fatalf("mode=%v: fault error: %v", mode, err)
+		}
+		s.Close()
+	}
+	rep, err := VerifySnapshotFile(path)
+	if err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	if !rep.Checksummed || rep.Tables != src.NumTables() || rep.Entries != src.NumEntries() {
+		t.Fatalf("verify report %+v", rep)
 	}
 }
 
@@ -72,38 +66,36 @@ func TestSnapshotChecksumRoundTrip(t *testing.T) {
 // must reject the file.
 func TestSnapshotChecksumDetectsPayloadCorruption(t *testing.T) {
 	src := checksumFixture(t)
-	for _, v2 := range []bool{false, true} {
-		path := t.TempDir() + "/c.snap"
-		if err := writeSnapshotFile(path, src, v2); err != nil {
-			t.Fatal(err)
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		off, span, _ := snapLayout(t, raw)
-		raw[off+span/2] ^= 0x40
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	path := t.TempDir() + "/c.snap"
+	if err := writeSnapshotFile(path, src); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, span, _ := snapLayout(t, raw)
+	raw[off+span/2] ^= 0x40
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
-		if _, err := OpenSnapshotFile(path, SnapEager); err == nil {
-			t.Fatalf("v2=%v: eager open accepted payload corruption", v2)
+	if _, err := OpenSnapshotFile(path, SnapEager); err == nil {
+		t.Fatal("eager open accepted payload corruption")
+	}
+	for _, mode := range []SnapMode{SnapLazy, SnapMMap} {
+		s, err := OpenSnapshotFile(path, mode)
+		if err != nil {
+			t.Fatalf("mode=%v: open (corruption should surface at fault, not open): %v", mode, err)
 		}
-		for _, mode := range []SnapMode{SnapLazy, SnapMMap} {
-			s, err := OpenSnapshotFile(path, mode)
-			if err != nil {
-				t.Fatalf("v2=%v mode=%v: open (corruption should surface at fault, not open): %v", v2, mode, err)
-			}
-			s.Tables(func(_, _ int32, _ []Entry) bool { return true }) // fault everything
-			if s.Err() == nil {
-				t.Fatalf("v2=%v mode=%v: faulting corrupted payload set no error", v2, mode)
-			}
-			s.Close()
+		s.Tables(func(_, _ int32, _ []Entry) bool { return true }) // fault everything
+		if s.Err() == nil {
+			t.Fatalf("mode=%v: faulting corrupted payload set no error", mode)
 		}
-		if _, err := VerifySnapshotFile(path); err == nil {
-			t.Fatalf("v2=%v: VerifySnapshotFile accepted payload corruption", v2)
-		}
+		s.Close()
+	}
+	if _, err := VerifySnapshotFile(path); err == nil {
+		t.Fatal("VerifySnapshotFile accepted payload corruption")
 	}
 }
 
@@ -112,35 +104,33 @@ func TestSnapshotChecksumDetectsPayloadCorruption(t *testing.T) {
 // verify cleanly, reporting Checksummed=false.
 func TestSnapshotUnchecksummedOldFormat(t *testing.T) {
 	src := checksumFixture(t)
-	for _, v2 := range []bool{false, true} {
-		path := t.TempDir() + "/c.snap"
-		if err := writeSnapshotFile(path, src, v2); err != nil {
-			t.Fatal(err)
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _, trailerBytes := snapLayout(t, raw)
-		if err := os.WriteFile(path, raw[:int64(len(raw))-trailerBytes], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s, err := OpenSnapshotFile(path, SnapEager)
-		if err != nil {
-			t.Fatalf("v2=%v: old-format open: %v", v2, err)
-		}
-		if s.Checksummed() {
-			t.Fatalf("v2=%v: trailer-less snapshot claims to be checksummed", v2)
-		}
-		assertSameSource(t, s, src)
-		s.Close()
-		rep, err := VerifySnapshotFile(path)
-		if err != nil {
-			t.Fatalf("v2=%v: verify old-format: %v", v2, err)
-		}
-		if rep.Checksummed {
-			t.Fatalf("v2=%v: verify report claims checksummed: %+v", v2, rep)
-		}
+	path := t.TempDir() + "/c.snap"
+	if err := writeSnapshotFile(path, src); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, trailerBytes := snapLayout(t, raw)
+	if err := os.WriteFile(path, raw[:int64(len(raw))-trailerBytes], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenSnapshotFile(path, SnapEager)
+	if err != nil {
+		t.Fatalf("old-format open: %v", err)
+	}
+	if s.Checksummed() {
+		t.Fatal("trailer-less snapshot claims to be checksummed")
+	}
+	assertSameSource(t, s, src)
+	s.Close()
+	rep, err := VerifySnapshotFile(path)
+	if err != nil {
+		t.Fatalf("verify old-format: %v", err)
+	}
+	if rep.Checksummed {
+		t.Fatalf("verify report claims checksummed: %+v", rep)
 	}
 }
 
@@ -149,40 +139,38 @@ func TestSnapshotUnchecksummedOldFormat(t *testing.T) {
 // trailer bytes, and clobbered footer magic all fail at open.
 func TestSnapshotTrailerCorruptionFailsOpen(t *testing.T) {
 	src := checksumFixture(t)
-	for _, v2 := range []bool{false, true} {
-		dir := t.TempDir()
-		path := dir + "/c.snap"
-		if err := writeSnapshotFile(path, src, v2); err != nil {
+	dir := t.TempDir()
+	path := dir + "/c.snap"
+	if err := writeSnapshotFile(path, src); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func([]byte) []byte
+	}{
+		{"torn mid-trailer", func(b []byte) []byte { return b[:len(b)-5] }},
+		{"torn mid-footer", func(b []byte) []byte { return b[:len(b)-snapFooterSize/2] }},
+		{"trailer byte flipped", func(b []byte) []byte {
+			c := append([]byte(nil), b...)
+			c[len(c)-snapFooterSize-2] ^= 0xff // inside a table CRC
+			return c
+		}},
+		{"footer magic clobbered", func(b []byte) []byte {
+			c := append([]byte(nil), b...)
+			c[len(c)-snapFooterSize] ^= 0xff
+			return c
+		}},
+	} {
+		p := dir + "/" + strings.ReplaceAll(tc.name, " ", "_")
+		if err := os.WriteFile(p, tc.mutate(raw), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tc := range []struct {
-			name   string
-			mutate func([]byte) []byte
-		}{
-			{"torn mid-trailer", func(b []byte) []byte { return b[:len(b)-5] }},
-			{"torn mid-footer", func(b []byte) []byte { return b[:len(b)-snapFooterSize/2] }},
-			{"trailer byte flipped", func(b []byte) []byte {
-				c := append([]byte(nil), b...)
-				c[len(c)-snapFooterSize-2] ^= 0xff // inside a table CRC
-				return c
-			}},
-			{"footer magic clobbered", func(b []byte) []byte {
-				c := append([]byte(nil), b...)
-				c[len(c)-snapFooterSize] ^= 0xff
-				return c
-			}},
-		} {
-			p := dir + "/" + strings.ReplaceAll(tc.name, " ", "_")
-			if err := os.WriteFile(p, tc.mutate(raw), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := OpenSnapshotFile(p, SnapLazy); err == nil {
-				t.Fatalf("v2=%v: open accepted %q", v2, tc.name)
-			}
+		if _, err := OpenSnapshotFile(p, SnapLazy); err == nil {
+			t.Fatalf("open accepted %q", tc.name)
 		}
 	}
 }

@@ -39,16 +39,17 @@ type Entry struct {
 	Dist     int32
 }
 
-// EntrySize is the fixed encoded width of one Entry in every on-disk
-// format this package writes (three little-endian int32s). It is the
-// single source of truth shared by the KTPMSNAP1 snapshot codec and
-// SizeBytes.
+// EntrySize is the encoded width of one Entry: three little-endian
+// int32s, one per snapshot column. It sizes SizeBytes and bounds a
+// directory row's count against the file before any span arithmetic.
 const EntrySize = 12
 
 // TableSource is read access to a closure organized as label-pair tables
 // — the contract the store layout, the run-time graph builder, and the
-// snapshot writers consume. Both the fully in-memory *Closure and the
-// disk-backed *Snapshot implement it. Table may fault data in lazily;
+// snapshot writer consume. The fully in-memory *Closure is the row-major
+// implementation; the disk-backed *Snapshot and the live MergedSource are
+// ColumnSources, whose readers go through TableCols. Table may fault
+// data in lazily;
 // TableLen and TableLens answer from the directory without touching
 // entry payloads, so callers that only need sizes stay cheap on lazy
 // sources.

@@ -6,7 +6,7 @@ package closure
 // have equal length and are shared with the source — callers must not
 // modify them. A zero Cols (all slices nil) is the empty table.
 //
-// KTPMSNAP2 stores tables in exactly this layout, so on an mmap-mode v2
+// KTPMSNAP2 stores tables in exactly this layout, so on an mmap-mode
 // snapshot a Cols is served zero-copy from the mapping, and the store
 // carves its per-target columns from it without a row-major detour.
 type Cols struct {
@@ -21,32 +21,45 @@ func (c Cols) At(i int) Entry {
 	return Entry{From: c.From[i], To: c.To[i], Dist: c.Dist[i]}
 }
 
-// AppendEntries appends every lane to dst in order as row-major entries.
-func (c Cols) AppendEntries(dst []Entry) []Entry {
-	for i := range c.To {
-		dst = append(dst, Entry{From: c.From[i], To: c.To[i], Dist: c.Dist[i]})
+// Entries returns every lane as a fresh row-major slice, nil when the
+// view is empty.
+func (c Cols) Entries() []Entry {
+	if c.Len() == 0 {
+		return nil
+	}
+	out := make([]Entry, c.Len())
+	for i := range out {
+		out[i] = c.At(i)
+	}
+	return out
+}
+
+// colsFromEntries transposes rows into dst's backing arrays when they are
+// large enough, allocating exactly len(rows) lanes (one array for all
+// three columns) otherwise, and returns the filled view. Passing the
+// previous result back in reuses it as scratch; passing Cols{} yields an
+// owned copy.
+func colsFromEntries(dst Cols, rows []Entry) Cols {
+	n := len(rows)
+	if cap(dst.To) < n || cap(dst.Dist) < n || cap(dst.From) < n {
+		lanes := make([]int32, 3*n)
+		dst = Cols{From: lanes[:n:n], To: lanes[n : 2*n : 2*n], Dist: lanes[2*n:]}
+	}
+	dst.From, dst.To, dst.Dist = dst.From[:n], dst.To[:n], dst.Dist[:n]
+	for i, e := range rows {
+		dst.From[i], dst.To[i], dst.Dist[i] = e.From, e.To, e.Dist
 	}
 	return dst
 }
 
-// ColumnSource is a TableSource whose native representation is columns —
-// a Snapshot over a KTPMSNAP2 file. TableCols returns the L^α_β table as
-// columns in canonical (To, Dist, From) lane order; the zero Cols means
-// the table is empty or absent. ColsNative reports whether TableCols is
-// actually served: a Snapshot implements the method set for either
-// format, but only a v2 file has columns to serve.
+// ColumnSource is a TableSource whose native representation is columns:
+// a Snapshot, and a MergedSource over any base. TableCols returns the
+// L^α_β table in canonical (To, Dist, From) lane order; the zero Cols
+// means the table is empty or absent. Readers that can consume columns
+// test for this interface and read TableCols; on these sources Table is
+// only a per-call transpose. The in-memory *Closure is row-major and does
+// not implement it.
 type ColumnSource interface {
 	TableSource
-	ColsNative() bool
 	TableCols(alpha, beta int32) Cols
-}
-
-// NativeCols returns src as a ColumnSource when column views are its
-// native representation. Iteration helpers use it to walk the layout that
-// is already resident: on such a source Table() would materialize and
-// cache a row-major copy of every table touched, while TableCols is
-// (under mmap) a zero-copy view. Every other source is walked by rows.
-func NativeCols(src TableSource) (ColumnSource, bool) {
-	cs, ok := src.(ColumnSource)
-	return cs, ok && cs.ColsNative()
 }

@@ -181,59 +181,58 @@ func deltaSearch(g *graph.Graph, src int32, dist []int32, rev bool) []int32 {
 	return reached
 }
 
-// MergedSource is a TableSource presenting base ∪ delta: label-pair
-// tables the overlay touches are materialized (min-merged into the
-// canonical (To, Dist, From) order) at construction; untouched tables
-// pass through to the base unchanged, preserving its lazy/mmap
+// MergedSource is a ColumnSource presenting base ∪ delta: label-pair
+// tables the overlay touches are materialized as columns (min-merged
+// into the canonical (To, Dist, From) order) at construction; untouched
+// tables pass through to the base unchanged, preserving its lazy/mmap
 // faulting. The result is immutable — mutating the Delta afterwards
 // does not affect an already-built MergedSource.
 type MergedSource struct {
 	g          *graph.Graph
 	base       TableSource
-	merged     map[pairKey][]Entry
+	merged     map[pairKey]Cols
 	numEntries int64
 	numTables  int
 }
 
-var _ TableSource = (*MergedSource)(nil)
+var _ ColumnSource = (*MergedSource)(nil)
 
 // NewMergedSource materializes delta over base. g is the combined
 // graph the merged closure describes (base graph + delta edges); it
 // becomes the source's Graph(). Touched base tables are faulted here,
-// once, rather than at query time: through TableCols when columns are
-// the base's native layout (no row-major copy is cached beside them),
-// otherwise through Table.
+// once, rather than at query time: through TableCols on a column base,
+// through Table on a row-major *Closure. Each merge runs through one
+// reused row scratch and is stored transposed into its own columns.
 func NewMergedSource(g *graph.Graph, base TableSource, d *Delta) *MergedSource {
 	m := &MergedSource{
 		g:          g,
 		base:       base,
-		merged:     make(map[pairKey][]Entry, len(d.tables)),
+		merged:     make(map[pairKey]Cols, len(d.tables)),
 		numEntries: base.NumEntries(),
 		numTables:  base.NumTables(),
 	}
-	cs, native := NativeCols(base)
+	cs, native := base.(ColumnSource)
 	// slot[v] is 1 + the position in the output of the entry from v in
 	// the To group being merged, 0 for none; reset after every group.
 	slot := make([]int32, g.NumNodes())
-	var ov []Entry
+	var ov, out []Entry
 	for key, overlay := range d.tables {
 		ov = ov[:0]
 		for ft, dd := range overlay {
 			ov = append(ov, Entry{From: ft.from, To: ft.to, Dist: dd})
 		}
 		slices.SortFunc(ov, func(a, b Entry) int { return cmp.Compare(a.To, b.To) })
-		var out []Entry
 		var added int
 		if native {
-			out, added = mergeTable(cs.TableCols(key.a, key.b), ov, slot)
+			out, added = mergeTable(cs.TableCols(key.a, key.b), ov, slot, out)
 		} else {
-			out, added = mergeTable(entryRows(base.Table(key.a, key.b)), ov, slot)
+			out, added = mergeTable(entryRows(base.Table(key.a, key.b)), ov, slot, out)
 		}
 		if len(out) == added {
 			m.numTables++ // the base had no such table
 		}
 		m.numEntries += int64(added)
-		m.merged[key] = out
+		m.merged[key] = colsFromEntries(Cols{}, out)
 	}
 	return m
 }
@@ -254,16 +253,20 @@ func cmpDistFrom(a, b Entry) int {
 
 // mergeTable min-merges ov — overlay entries of one table, sorted by To
 // — into base, a table in canonical (To, Dist, From) order, and returns
-// the merged table and how many entries the overlay added. Base groups
-// (runs of equal To) that no overlay entry touches are copied as they
-// are; only a group whose content changed is re-sorted. slot must be
-// all zero and is left all zero.
+// the merged table and how many entries the overlay added. The result
+// is built in scratch (reused when large enough), so it is only valid
+// until the next call. Base groups (runs of equal To) that no overlay
+// entry touches are copied as they are; only a group whose content
+// changed is re-sorted. slot must be all zero and is left all zero.
 func mergeTable[T interface {
 	Len() int
 	At(i int) Entry
-}](base T, ov []Entry, slot []int32) ([]Entry, int) {
+}](base T, ov []Entry, slot []int32, scratch []Entry) ([]Entry, int) {
 	n := base.Len()
-	out := make([]Entry, 0, n+len(ov))
+	out := scratch[:0]
+	if cap(out) < n+len(ov) {
+		out = make([]Entry, 0, n+len(ov))
+	}
 	added := 0
 	i := 0
 	for j := 0; j < len(ov); {
@@ -324,15 +327,32 @@ func (m *MergedSource) NumTables() int { return m.numTables }
 // untouched base tables.
 func (m *MergedSource) TableLen(alpha, beta int32) int {
 	if tab, ok := m.merged[pairKey{alpha, beta}]; ok {
-		return len(tab)
+		return tab.Len()
 	}
 	return m.base.TableLen(alpha, beta)
 }
 
-// Table returns the merged L^α_β, canonical (To, Dist, From) order.
-func (m *MergedSource) Table(alpha, beta int32) []Entry {
+// TableCols returns the merged L^α_β as columns. An untouched table is
+// the base's own TableCols — zero-copy under an mmap base. Only over a
+// row-major base (an in-memory *Closure boot base, before the first
+// compaction) is it a transpose of base.Table, built per call and never
+// cached.
+func (m *MergedSource) TableCols(alpha, beta int32) Cols {
 	if tab, ok := m.merged[pairKey{alpha, beta}]; ok {
 		return tab
+	}
+	if cs, ok := m.base.(ColumnSource); ok {
+		return cs.TableCols(alpha, beta)
+	}
+	return colsFromEntries(Cols{}, m.base.Table(alpha, beta))
+}
+
+// Table returns the merged L^α_β in canonical (To, Dist, From) order.
+// A merged table is transposed from its columns on every call; readers
+// go through TableCols.
+func (m *MergedSource) Table(alpha, beta int32) []Entry {
+	if tab, ok := m.merged[pairKey{alpha, beta}]; ok {
+		return tab.Entries()
 	}
 	return m.base.Table(alpha, beta)
 }
@@ -343,7 +363,7 @@ func (m *MergedSource) TableLens(fn func(alpha, beta int32, count int) bool) {
 	stop := false
 	m.base.TableLens(func(alpha, beta int32, count int) bool {
 		if tab, ok := m.merged[pairKey{alpha, beta}]; ok {
-			count = len(tab)
+			count = tab.Len()
 		}
 		if !fn(alpha, beta, count) {
 			stop = true
@@ -358,37 +378,18 @@ func (m *MergedSource) TableLens(fn func(alpha, beta int32, count int) bool) {
 		if m.base.TableLen(key.a, key.b) > 0 {
 			continue // already reported through the base pass
 		}
-		if !fn(key.a, key.b, len(tab)) {
+		if !fn(key.a, key.b, tab.Len()) {
 			return
 		}
 	}
 }
 
-// Tables iterates every merged table; untouched base tables fault here.
+// Tables iterates every merged table through Table; untouched base
+// tables fault here.
 func (m *MergedSource) Tables(fn func(alpha, beta int32, entries []Entry) bool) {
-	stop := false
-	m.base.TableLens(func(alpha, beta int32, _ int) bool {
-		tab, ok := m.merged[pairKey{alpha, beta}]
-		if !ok {
-			tab = m.base.Table(alpha, beta)
-		}
-		if !fn(alpha, beta, tab) {
-			stop = true
-			return false
-		}
-		return true
+	m.TableLens(func(alpha, beta int32, _ int) bool {
+		return fn(alpha, beta, m.Table(alpha, beta))
 	})
-	if stop {
-		return
-	}
-	for key, tab := range m.merged {
-		if m.base.TableLen(key.a, key.b) > 0 {
-			continue
-		}
-		if !fn(key.a, key.b, tab) {
-			return
-		}
-	}
 }
 
 // ComputeStats summarizes the merged closure.

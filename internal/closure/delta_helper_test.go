@@ -6,13 +6,10 @@ import (
 	"ktpm/internal/fsio"
 )
 
-// writeSnapshotFile writes src as a v1 or v2 snapshot at path,
-// crash-atomically like every production write path.
-func writeSnapshotFile(path string, src TableSource, v2 bool) error {
+// writeSnapshotFile writes src as a snapshot at path, crash-atomically
+// like every production write path.
+func writeSnapshotFile(path string, src TableSource) error {
 	return fsio.WriteFileAtomic(path, func(w io.Writer) error {
-		if v2 {
-			return WriteSnapshotV2(w, src)
-		}
-		return WriteSnapshot(w, src)
+		return WriteSnapshotV2(w, src)
 	})
 }

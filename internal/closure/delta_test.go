@@ -1,9 +1,11 @@
 package closure
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"ktpm/internal/graph"
 )
@@ -129,45 +131,106 @@ func TestMergedSourceMatchesRecompute(t *testing.T) {
 	}
 }
 
+// mergeFixture is a base closure over a random 30-node graph with m
+// edges and a delta of newEdges edges over it, with the from-scratch
+// closure of the combined graph as the reference.
+func mergeFixture(t *testing.T, m, newEdges int) (base *Closure, g2 *graph.Graph, d *Delta, want *Closure) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	g := randomGraph(t, rng, 30, m, 5, 3)
+	base = Compute(g, Options{})
+	edges := randomNewEdges(rng, 30, newEdges, 3)
+	g2, err := CombineGraph(g, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d = NewDelta()
+	d.AddEdges(g2, edges)
+	return base, g2, d, Compute(g2, Options{})
+}
+
+// openBaseSnapshot writes base as a snapshot and opens it in mode; the
+// snapshot is closed when the test ends.
+func openBaseSnapshot(t *testing.T, base TableSource, mode SnapMode) *Snapshot {
+	t.Helper()
+	path := t.TempDir() + "/base.snap"
+	if err := writeSnapshotFile(path, base); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := OpenSnapshotFile(path, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { snap.Close() })
+	return snap
+}
+
 // TestMergedSourceOverSnapshot runs the same property with the base
 // behind a snapshot in every mode, since that is what a live ktpmd
 // actually merges against.
 func TestMergedSourceOverSnapshot(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	base := randomGraph(t, rng, 30, 90, 5, 3)
-	baseClosure := Compute(base, Options{})
-	edges := randomNewEdges(rng, 30, 12, 3)
-	g2, err := CombineGraph(base, edges)
-	if err != nil {
+	base, g2, d, want := mergeFixture(t, 90, 12)
+	for _, mode := range []SnapMode{SnapEager, SnapLazy, SnapMMap} {
+		snap := openBaseSnapshot(t, base, mode)
+		assertSameSource(t, NewMergedSource(g2, snap, d), want)
+		if err := snap.Err(); err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+	}
+}
+
+// TestMergedSourceSnapshotBytes: compacting a live epoch — writing its
+// MergedSource — yields the very bytes a snapshot of the from-scratch
+// closure has, over an in-memory base and over a snapshot base in every
+// mode.
+func TestMergedSourceSnapshotBytes(t *testing.T) {
+	base, g2, d, want := mergeFixture(t, 90, 12)
+	var ref bytes.Buffer
+	if err := WriteSnapshotV2(&ref, want); err != nil {
 		t.Fatal(err)
 	}
-	want := Compute(g2, Options{})
-
+	bases := map[string]TableSource{"memory": base}
 	for _, mode := range []SnapMode{SnapEager, SnapLazy, SnapMMap} {
-		for _, v2 := range []bool{false, true} {
-			path := t.TempDir() + "/base.snap"
-			if err := writeSnapshotFile(path, baseClosure, v2); err != nil {
-				t.Fatal(err)
-			}
-			snap, err := OpenSnapshotFile(path, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d := NewDelta()
-			d.AddEdges(g2, edges)
-			merged := NewMergedSource(g2, snap, d)
-			if v2 {
-				// A columnar base is merged from its columns: no touched
-				// table gains a cached row-major copy.
-				for i := range snap.tabs {
-					if snap.tabs[i].Load() != nil {
-						t.Fatalf("%v v2: merging materialized a row-major copy of table %d", mode, i)
-					}
-				}
-			}
-			assertSameSource(t, merged, want)
-			snap.Close()
+		bases[mode.String()] = openBaseSnapshot(t, base, mode)
+	}
+	for name, b := range bases {
+		var got bytes.Buffer
+		if err := WriteSnapshotV2(&got, NewMergedSource(g2, b, d)); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		if !bytes.Equal(got.Bytes(), ref.Bytes()) {
+			t.Fatalf("%s base: merged snapshot (%d bytes) differs from the recomputed one (%d bytes)", name, got.Len(), ref.Len())
+		}
+	}
+}
+
+// TestMergedSourceTableColsZeroCopy: over an mmap base, a table the
+// overlay did not touch is served as the base's own column view — the
+// same backing array inside the mapping, not a copy.
+func TestMergedSourceTableColsZeroCopy(t *testing.T) {
+	// A sparse base and one new edge leave most tables untouched.
+	base, g2, d, _ := mergeFixture(t, 20, 1)
+	snap := openBaseSnapshot(t, base, SnapMMap)
+	if snap.Mode() != SnapMMap {
+		t.Skipf("mmap degraded to %v on this platform", snap.Mode())
+	}
+	m := NewMergedSource(g2, snap, d)
+	checked := 0
+	snap.TableLens(func(alpha, beta int32, count int) bool {
+		if _, touched := d.tables[pairKey{alpha, beta}]; touched {
+			return true
+		}
+		got, want := m.TableCols(alpha, beta), snap.TableCols(alpha, beta)
+		for i, pair := range [3][2][]int32{{got.To, want.To}, {got.Dist, want.Dist}, {got.From, want.From}} {
+			if len(pair[0]) != count || unsafe.SliceData(pair[0]) != unsafe.SliceData(pair[1]) {
+				t.Fatalf("table (%d,%d) column %d: merged view does not share the base's backing array", alpha, beta, i)
+			}
+		}
+		checked++
+		return true
+	})
+	if checked == 0 {
+		t.Fatal("the overlay touched every table; nothing checked")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -16,13 +17,13 @@ import (
 	"ktpm/internal/graph"
 )
 
-// KTPMSNAP1 is the page-aligned, offset-indexed snapshot format: a
-// self-contained image of one graph plus its transitive closure that can
-// be served straight off the file without parsing it at open time. All
-// integers are little-endian.
+// KTPMSNAP2 is the page-aligned, offset-indexed, columnar snapshot
+// format: a self-contained image of one graph plus its transitive
+// closure that can be served straight off the file without parsing it at
+// open time. All integers are little-endian.
 //
-//	[0,10)   magic "KTPMSNAP1\n"
-//	[10,14)  uint32 version (1)
+//	[0,10)   magic "KTPMSNAP2\n"
+//	[10,14)  uint32 version (2)
 //	[14,18)  uint32 pageSize (alignment unit of the directory and payload
 //	         sections; writers use snapPageSize)
 //	[18,26)  int64 numTables
@@ -34,19 +35,8 @@ import (
 //	...      graph text
 //	dirOff   numTables × 24-byte rows {int32 alpha, int32 beta,
 //	         int64 off, int64 count}, sorted by (alpha, beta)
-//	...      table payloads: count × EntrySize fixed-width entries per
-//	         table; the payload section starts page-aligned and every
-//	         table offset is 16-byte aligned, so an mmap of the file can
-//	         serve []Entry views in place (entries need 4-byte alignment)
-//
-// The directory up front lets a reader open the snapshot in O(directory)
-// time and seek (or map) exactly the tables a workload touches, instead
-// of parsing the file front to back.
-//
-// KTPMSNAP2 is the columnar (structure-of-arrays) variant: identical
-// header (magic "KTPMSNAP2\n", version 2) and directory, but each table
-// payload stores the three entry fields as separate contiguous
-// little-endian int32 columns instead of interleaved 12-byte rows:
+//	...      table payloads, the section starting page-aligned; each
+//	         table stores its entries as three contiguous int32 columns:
 //
 //	d.off                 to[count]    — target nodes (the carve key)
 //	d.off + distRel       dist[count]  — δmin values
@@ -54,27 +44,37 @@ import (
 //
 // where distRel/fromRel round each preceding column up to snapTableAlign,
 // so every column starts 16-byte aligned and an mmap of the file serves
-// zero-copy []int32 views per column (colsSpan computes the offsets; lane
-// i across the three columns is entry i, in the same canonical (To, Dist,
-// From) order as v1). The store carves a v2 table straight from these
-// columns, and a v1 table by one pass over its rows; v1 files keep
-// opening unchanged, and readers pick the layout by magic alone.
+// zero-copy []int32 views per column (colsSpan computes the offsets).
+// Lane i across the three columns is entry i, in canonical (To, Dist,
+// From) order. A checksum trailer follows the last payload (checksum.go).
+//
+// The directory up front lets a reader open the snapshot in O(directory)
+// time and seek (or map) exactly the tables a workload touches, instead
+// of parsing the file front to back.
+//
+// The row-major KTPMSNAP1 layout that preceded it is no longer read:
+// opening such a file fails with ErrRetiredFormat.
 
 var (
-	snapMagic  = []byte("KTPMSNAP1\n")
-	snapMagic2 = []byte("KTPMSNAP2\n")
+	snapMagic = []byte("KTPMSNAP2\n")
+	// snapMagicV1 identifies a retired row-major file, for ErrRetiredFormat.
+	snapMagicV1 = []byte("KTPMSNAP1\n")
 )
+
+// ErrRetiredFormat is returned when opening a KTPMSNAP1 (row-major) file.
+var ErrRetiredFormat = errors.New("closure: KTPMSNAP1 (row-major) snapshots are no longer read; " +
+	"re-save the file with an older ktpm that still reads it (ktpm -snapshot OLD -snapshot-format v2 -save-snapshot NEW), " +
+	"or rebuild it from its graph (ktpm -graph GRAPH -save-snapshot NEW)")
 
 const (
-	snapVersion    = 1
-	snapVersion2   = 2
-	snapPageSize   = 4096
-	snapHeaderSize = 64
-	snapDirEntSize = 24
-	snapTableAlign = 16
+	snapFormatVersion = 2
+	snapPageSize      = 4096
+	snapHeaderSize    = 64
+	snapDirEntSize    = 24
+	snapTableAlign    = 16
 )
 
-// colsSpan returns the layout of one KTPMSNAP2 table payload holding count
+// colsSpan returns the layout of one table payload holding count
 // entries: the offsets of the dist and from columns relative to the table
 // offset, and the total payload span. Every column starts snapTableAlign-
 // aligned; total ≥ count×EntrySize always holds, which the open-time
@@ -98,10 +98,11 @@ const (
 	// table's payload is seek-read and decoded the first time it is
 	// asked for.
 	SnapLazy
-	// SnapMMap maps the file and serves zero-copy []Entry views over the
+	// SnapMMap maps the file and serves zero-copy column views over the
 	// mapping (no heap copy of payloads). On platforms without mmap — or
-	// hosts whose native layout disagrees with the on-disk one — it
-	// degrades to SnapLazy; Snapshot.Mode reports what actually happened.
+	// big-endian hosts, where the little-endian columns cannot be
+	// reinterpreted in place — it degrades to SnapLazy; Snapshot.Mode
+	// reports what actually happened.
 	SnapMMap
 )
 
@@ -118,17 +119,12 @@ func (m SnapMode) String() string {
 	return fmt.Sprintf("SnapMode(%d)", int(m))
 }
 
-// entryViewOK reports whether a raw on-disk payload can be reinterpreted
-// as []Entry in place: the host must be little-endian and Entry's memory
-// layout must match the encoded triple exactly.
-var entryViewOK = func() bool {
+// littleEndian reports whether the host can reinterpret the on-disk
+// little-endian int32 columns as []int32 in place — the gate on mmap
+// column views. Column alignment is guaranteed by the format.
+var littleEndian = func() bool {
 	var one uint16 = 1
-	little := *(*byte)(unsafe.Pointer(&one)) == 1
-	var e Entry
-	return little &&
-		unsafe.Sizeof(e) == EntrySize &&
-		unsafe.Offsetof(e.To) == 4 &&
-		unsafe.Offsetof(e.Dist) == 8
+	return *(*byte)(unsafe.Pointer(&one)) == 1
 }()
 
 // snapDirEnt is one decoded directory row.
@@ -138,27 +134,20 @@ type snapDirEnt struct {
 	count       int64
 }
 
-// Snapshot is an open KTPMSNAP1 file: a TableSource whose tables fault in
-// on first use (lazy, mmap) or are pre-faulted at open (eager). All
+// Snapshot is an open KTPMSNAP2 file: a ColumnSource whose tables fault
+// in on first use (lazy, mmap) or are pre-faulted at open (eager). All
 // methods are safe for concurrent use; a faulted table is decoded (or
 // mapped and validated) exactly once and then served lock-free, so one
 // Snapshot can back every shard replica of a database. Close releases
 // the file and any mapping — only after all queries against the snapshot
-// have stopped, since mmap-mode []Entry views point into the mapping.
+// have stopped, since mmap-mode column views point into the mapping.
 type Snapshot struct {
-	g       *graph.Graph
-	dir     []snapDirEnt
-	mode    SnapMode // effective mode, after any mmap fallback
-	version uint32   // 1 (row-major) or 2 (columnar), from the magic
+	g    *graph.Graph
+	dir  []snapDirEnt
+	mode SnapMode // effective mode, after any mmap fallback
 
-	// tabs[i] is the published []Entry of dir[i], nil until faulted. In
-	// mmap mode (v1) the slice is a zero-copy view over data; otherwise a
-	// decoded heap copy. On a v2 file it is a row-major materialization of
-	// the columns, built on demand for TableSource compatibility.
-	tabs []atomic.Pointer[[]Entry]
-	// cols[i] is the published column view of dir[i]: the faulted on-disk
-	// layout of a v2 file (zero-copy per column under mmap). Never set on
-	// a v1 file, which has no columns to serve.
+	// cols[i] is the published column view of dir[i], nil until faulted:
+	// zero-copy per column under mmap, a decoded heap copy otherwise.
 	cols []atomic.Pointer[Cols]
 	mu   sync.Mutex // serializes faults; reads stay lock-free
 
@@ -177,29 +166,17 @@ type Snapshot struct {
 	tableCRCs []uint32
 }
 
-var (
-	_ TableSource  = (*Snapshot)(nil)
-	_ ColumnSource = (*Snapshot)(nil)
-)
+var _ ColumnSource = (*Snapshot)(nil)
 
-// WriteSnapshot writes src — graph and closure — as a KTPMSNAP1 (row-major)
-// snapshot. Any TableSource serves, so an existing database (in-memory or
-// itself snapshot-backed) converts without recomputing the closure; on a
-// lazy source this faults every table. The directory is sorted by
-// (alpha, beta), making the output deterministic for a given closure.
-func WriteSnapshot(w io.Writer, src TableSource) error {
-	return writeSnapshot(w, src, snapVersion)
-}
-
-// WriteSnapshotV2 writes src as a KTPMSNAP2 columnar snapshot: same
-// directory, per-table to[]/dist[]/from[] columns. Deterministic like
-// WriteSnapshot, and byte-for-byte the same logical closure — only the
-// payload transpose differs.
+// WriteSnapshotV2 writes src — graph and closure — as a KTPMSNAP2
+// snapshot. Any TableSource serves, so an existing database (in-memory,
+// snapshot-backed, or a live epoch) converts without recomputing the
+// closure; on a lazy source this faults every table. A ColumnSource is
+// streamed straight from its columns; a row-major source (*Closure) is
+// transposed table by table through one reused scratch. The directory is
+// sorted by (alpha, beta), making the output deterministic for a given
+// closure.
 func WriteSnapshotV2(w io.Writer, src TableSource) error {
-	return writeSnapshot(w, src, snapVersion2)
-}
-
-func writeSnapshot(w io.Writer, src TableSource, version uint32) error {
 	g := src.Graph()
 	var gbuf bytes.Buffer
 	if err := graph.Encode(&gbuf, g); err != nil {
@@ -224,13 +201,8 @@ func writeSnapshot(w io.Writer, src TableSource, version uint32) error {
 	var numEntries int64
 	for i := range dir {
 		dir[i].off = off
-		if version == snapVersion2 {
-			_, _, total := colsSpan(dir[i].count)
-			off += total
-		} else {
-			off += dir[i].count * EntrySize
-		}
-		off = alignUp(off, snapTableAlign)
+		_, _, total := colsSpan(dir[i].count)
+		off = alignUp(off+total, snapTableAlign)
 		numEntries += dir[i].count
 	}
 
@@ -240,12 +212,8 @@ func writeSnapshot(w io.Writer, src TableSource, version uint32) error {
 	cw := &crcWriter{w: bw}
 	tableCRCs := make([]uint32, len(dir))
 	hdr := make([]byte, snapHeaderSize)
-	if version == snapVersion2 {
-		copy(hdr, snapMagic2)
-	} else {
-		copy(hdr, snapMagic)
-	}
-	binary.LittleEndian.PutUint32(hdr[10:14], version)
+	copy(hdr, snapMagic)
+	binary.LittleEndian.PutUint32(hdr[10:14], snapFormatVersion)
 	binary.LittleEndian.PutUint32(hdr[14:18], snapPageSize)
 	binary.LittleEndian.PutUint64(hdr[18:26], uint64(len(dir)))
 	binary.LittleEndian.PutUint64(hdr[26:34], uint64(numEntries))
@@ -291,46 +259,39 @@ func writeSnapshot(w io.Writer, src TableSource, version uint32) error {
 		}
 	}
 	pos += int64(len(dir)) * snapDirEntSize
+	cs, native := src.(ColumnSource)
+	var scratch Cols // a row-major source's table, transposed
 	var buf []byte
 	for i, d := range dir {
 		if err := pad(d.off); err != nil {
 			return err
 		}
-		entries := src.Table(d.alpha, d.beta)
-		if int64(len(entries)) != d.count {
+		var c Cols
+		if native {
+			c = cs.TableCols(d.alpha, d.beta)
+		} else {
+			scratch = colsFromEntries(scratch, src.Table(d.alpha, d.beta))
+			c = scratch
+		}
+		if int64(c.Len()) != d.count {
 			return fmt.Errorf("closure: table (%d,%d) changed size during snapshot write", d.alpha, d.beta)
 		}
-		// The table's whole payload span — including v2 inter-column
+		// The table's whole payload span — including the inter-column
 		// padding — feeds its trailer CRC.
 		cw.begin()
-		var err error
-		if version == snapVersion2 {
-			// Columns are streamed straight from the row-major entries so
-			// the writer never materializes a second copy of the table.
-			distRel, fromRel, _ := colsSpan(d.count)
-			if buf, err = writeCol(cw, entries, func(e Entry) int32 { return e.To }, buf); err != nil {
+		distRel, fromRel, _ := colsSpan(d.count)
+		for _, col := range [...]struct {
+			rel int64
+			v   []int32
+		}{{0, c.To}, {distRel, c.Dist}, {fromRel, c.From}} {
+			if err := pad(d.off + col.rel); err != nil {
+				return err
+			}
+			var err error
+			if buf, err = writeCol(cw, col.v, buf); err != nil {
 				return err
 			}
 			pos += d.count * 4
-			if err = pad(d.off + distRel); err != nil {
-				return err
-			}
-			if buf, err = writeCol(cw, entries, func(e Entry) int32 { return e.Dist }, buf); err != nil {
-				return err
-			}
-			pos += d.count * 4
-			if err = pad(d.off + fromRel); err != nil {
-				return err
-			}
-			if buf, err = writeCol(cw, entries, func(e Entry) int32 { return e.From }, buf); err != nil {
-				return err
-			}
-			pos += d.count * 4
-		} else {
-			if buf, err = writeEntries(cw, entries, buf); err != nil {
-				return err
-			}
-			pos += d.count * EntrySize
 		}
 		tableCRCs[i] = cw.end()
 	}
@@ -344,12 +305,13 @@ var zeroPage [snapPageSize]byte
 
 func alignUp(n, align int64) int64 { return (n + align - 1) / align * align }
 
-// OpenSnapshotFile opens a KTPMSNAP1 snapshot written by WriteSnapshot.
+// OpenSnapshotFile opens a KTPMSNAP2 snapshot written by WriteSnapshotV2.
 // In SnapLazy and SnapMMap modes the work done here is O(header + graph +
 // directory): no table payload is read, decoded, or validated until its
 // first fault. The directory itself is fully validated — bad magic,
 // implausible counts, unsorted rows, and offsets pointing past EOF all
-// fail here rather than at query time.
+// fail here rather than at query time. A KTPMSNAP1 file fails with
+// ErrRetiredFormat.
 func OpenSnapshotFile(path string, mode SnapMode) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -370,19 +332,17 @@ func openSnapshot(f *os.File, mode SnapMode) (*Snapshot, error) {
 	}
 	size := fi.Size()
 	hdr := make([]byte, snapHeaderSize)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
+	n, err := f.ReadAt(hdr, 0)
+	if n >= len(snapMagicV1) && bytes.Equal(hdr[:len(snapMagicV1)], snapMagicV1) {
+		return nil, ErrRetiredFormat
+	}
+	if err != nil {
 		return nil, fmt.Errorf("closure: snapshot header: %w", err)
 	}
-	var version uint32
-	switch {
-	case bytes.Equal(hdr[:len(snapMagic)], snapMagic):
-		version = snapVersion
-	case bytes.Equal(hdr[:len(snapMagic2)], snapMagic2):
-		version = snapVersion2
-	default:
+	if !bytes.Equal(hdr[:len(snapMagic)], snapMagic) {
 		return nil, fmt.Errorf("closure: bad snapshot magic %q", hdr[:len(snapMagic)])
 	}
-	if v := binary.LittleEndian.Uint32(hdr[10:14]); v != version {
+	if v := binary.LittleEndian.Uint32(hdr[10:14]); v != snapFormatVersion {
 		return nil, fmt.Errorf("closure: snapshot version %d disagrees with magic %q", v, hdr[:len(snapMagic)])
 	}
 	numTables := int64(binary.LittleEndian.Uint64(hdr[18:26]))
@@ -430,27 +390,24 @@ func openSnapshot(f *os.File, mode SnapMode) (*Snapshot, error) {
 			return nil, fmt.Errorf("closure: snapshot directory not sorted at row %d", i)
 		}
 		// count*EntrySize is overflow-safe only after bounding count by
-		// the remaining file size.
+		// the remaining file size; that bound in turn keeps colsSpan —
+		// never wider than 3×alignUp(count×4) — from overflowing.
 		if d.off < payloadStart || d.off > size || d.count < 0 || d.count > (size-d.off)/EntrySize {
 			return nil, fmt.Errorf("closure: snapshot directory row %d: table (%d,%d) at [%d, +%d entries) outside file of %d bytes", i, d.alpha, d.beta, d.off, d.count, size)
 		}
-		span := d.count * EntrySize
-		if version == snapVersion2 {
-			// The columnar payload is wider than count×EntrySize by the
-			// inter-column alignment padding; the v1-style bound above makes
-			// colsSpan overflow-safe, and this makes it exact.
-			_, _, span = colsSpan(d.count)
-			if span > size-d.off {
-				return nil, fmt.Errorf("closure: snapshot directory row %d: columnar table (%d,%d) at [%d, +%d bytes) outside file of %d bytes", i, d.alpha, d.beta, d.off, span, size)
-			}
+		// The columnar payload is wider than count×EntrySize by the
+		// inter-column alignment padding; this makes the bound exact.
+		_, _, span := colsSpan(d.count)
+		if span > size-d.off {
+			return nil, fmt.Errorf("closure: snapshot directory row %d: columnar table (%d,%d) at [%d, +%d bytes) outside file of %d bytes", i, d.alpha, d.beta, d.off, span, size)
 		}
 		if end := d.off + span; end > payloadEnd {
 			payloadEnd = end
 		}
 		if d.off%snapTableAlign != 0 {
 			// The format guarantees 16-byte-aligned tables; an unaligned
-			// offset would make the mmap mode's in-place []Entry view
-			// misaligned, so it is structural corruption caught at open.
+			// offset would misalign the mmap mode's in-place column
+			// views, so it is structural corruption caught at open.
 			return nil, fmt.Errorf("closure: snapshot directory row %d: table (%d,%d) offset %d not %d-byte aligned", i, d.alpha, d.beta, d.off, snapTableAlign)
 		}
 		dir[i] = d
@@ -472,8 +429,6 @@ func openSnapshot(f *os.File, mode SnapMode) (*Snapshot, error) {
 		g:          g,
 		dir:        dir,
 		mode:       mode,
-		version:    version,
-		tabs:       make([]atomic.Pointer[[]Entry], numTables),
 		cols:       make([]atomic.Pointer[Cols], numTables),
 		f:          f,
 		r:          f,
@@ -482,9 +437,9 @@ func openSnapshot(f *os.File, mode SnapMode) (*Snapshot, error) {
 		tableCRCs:  tableCRCs,
 	}
 	if mode == SnapMMap {
-		// entryViewOK is checked before mapping: a mapping that cannot be
-		// reinterpreted in place would only leak address space.
-		if !entryViewOK {
+		// The endianness gate is checked before mapping: a mapping that
+		// cannot be reinterpreted in place would only leak address space.
+		if !littleEndian {
 			s.mode = SnapLazy
 		} else if data, err := mmapFile(f, size); err != nil {
 			// Portable fallback: same lazy faulting, through ReadAt.
@@ -499,15 +454,7 @@ func openSnapshot(f *os.File, mode SnapMode) (*Snapshot, error) {
 	}
 	if mode == SnapEager {
 		for i := range s.dir {
-			// On a v2 file the resident form is the columns; row-major
-			// views materialize from them on demand without the file.
-			var err error
-			if version == snapVersion2 {
-				_, err = s.loadCols(i)
-			} else {
-				_, err = s.load(i)
-			}
-			if err != nil {
+			if _, err := s.loadCols(i); err != nil {
 				s.Close()
 				return nil, err
 			}
@@ -530,73 +477,13 @@ func (s *Snapshot) find(alpha, beta int32) int {
 	return -1
 }
 
-// load faults directory entry i as a row-major table: reads (or maps) its
-// payload, validates every entry against the graph, and publishes the
-// table. Later calls are a single atomic load. On a v2 file the columns
-// are the faulted form and the row-major view is transposed from them
-// (already-validated), so Table keeps working on columnar snapshots.
-func (s *Snapshot) load(i int) ([]Entry, error) {
-	if p := s.tabs[i].Load(); p != nil {
-		return *p, nil
-	}
-	if s.version == snapVersion2 {
-		c, err := s.loadCols(i)
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if p := s.tabs[i].Load(); p != nil {
-			return *p, nil
-		}
-		entries := c.AppendEntries(make([]Entry, 0, c.Len()))
-		s.tabs[i].Store(&entries)
-		return entries, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if p := s.tabs[i].Load(); p != nil {
-		return *p, nil
-	}
-	d := &s.dir[i]
-	var entries []Entry
-	switch {
-	case s.data != nil:
-		// Zero-copy: the published table is a view over the mapping. The
-		// trailer CRC runs over the same mapped bytes before publication.
-		if err := s.verifyTableCRC(i, s.data[d.off:d.off+d.count*EntrySize]); err != nil {
-			return nil, fmt.Errorf("closure: snapshot table (%d,%d): %w", d.alpha, d.beta, err)
-		}
-		if d.count > 0 {
-			entries = unsafe.Slice((*Entry)(unsafe.Pointer(&s.data[d.off])), d.count)
-		}
-	case s.r != nil:
-		raw := make([]byte, d.count*EntrySize)
-		if _, err := s.r.ReadAt(raw, d.off); err != nil {
-			return nil, fmt.Errorf("closure: snapshot table (%d,%d): %w", d.alpha, d.beta, err)
-		}
-		if err := s.verifyTableCRC(i, raw); err != nil {
-			return nil, fmt.Errorf("closure: snapshot table (%d,%d): %w", d.alpha, d.beta, err)
-		}
-		entries = make([]Entry, d.count)
-		decodeEntriesInto(raw, entries)
-	default:
-		return nil, fmt.Errorf("closure: snapshot is closed")
-	}
-	if err := validateEntries(s.g, d.alpha, d.beta, entries); err != nil {
-		return nil, fmt.Errorf("closure: snapshot table (%d,%d): %w", d.alpha, d.beta, err)
-	}
-	s.tabs[i].Store(&entries)
-	s.tablesLoaded.Add(1)
-	return entries, nil
-}
-
-// loadCols faults directory entry i of a v2 file as its on-disk column
-// view: under mmap each column is a zero-copy []int32 view over the
-// mapping (column starts are snapTableAlign-aligned by construction, so
-// the reinterpretation is always aligned); in lazy mode the three columns
-// are read and decoded in one ReadAt. Validation runs per column
-// (validateCols) before the view is published.
+// loadCols faults directory entry i as its on-disk column view: under
+// mmap each column is a zero-copy []int32 view over the mapping (column
+// starts are snapTableAlign-aligned by construction, so the
+// reinterpretation is always aligned); in lazy mode the three columns
+// are read and decoded in one ReadAt. The trailer CRC and validateCols
+// both run before the view is published; later calls are a single
+// atomic load.
 func (s *Snapshot) loadCols(i int) (Cols, error) {
 	if p := s.cols[i].Load(); p != nil {
 		return *p, nil
@@ -646,22 +533,10 @@ func (s *Snapshot) loadCols(i int) (Cols, error) {
 	return c, nil
 }
 
-// table is the error-swallowing load used behind TableSource: the
+// tableCols is the error-swallowing fault used behind ColumnSource: the
 // interface has no error channel, so a fault-time failure (I/O error or
-// payload corruption, both impossible once a table is resident) records a
-// sticky error readable via Err and serves the table as empty.
-func (s *Snapshot) table(i int) []Entry {
-	entries, err := s.load(i)
-	if err != nil {
-		s.loadErr.CompareAndSwap(nil, &err)
-		return nil
-	}
-	return entries
-}
-
-// tableCols is the error-swallowing column fault used behind
-// ColumnSource, mirroring table: a fault-time failure records a sticky
-// error readable via Err and serves the table as empty.
+// payload corruption, both impossible once a table is resident) records
+// a sticky error readable via Err and serves the table as empty.
 func (s *Snapshot) tableCols(i int) Cols {
 	c, err := s.loadCols(i)
 	if err != nil {
@@ -707,31 +582,29 @@ func (s *Snapshot) TableLens(fn func(alpha, beta int32, count int) bool) {
 	}
 }
 
-// Table returns the L^α_β entries, faulting them on first use.
-func (s *Snapshot) Table(alpha, beta int32) []Entry {
-	i := s.find(alpha, beta)
-	if i < 0 {
-		return nil
-	}
-	return s.table(i)
-}
-
-// TableCols returns the L^α_β table of a v2 snapshot as a column view,
-// faulting it on first use; in mmap mode the columns are zero-copy views
-// over the mapping. A v1 snapshot has no columns (ColsNative is false)
-// and always returns the zero Cols: read it through Table.
+// TableCols returns the L^α_β table as a column view, faulting it on
+// first use; in mmap mode the columns are zero-copy views over the
+// mapping.
 func (s *Snapshot) TableCols(alpha, beta int32) Cols {
 	i := s.find(alpha, beta)
-	if i < 0 || s.version != snapVersion2 {
+	if i < 0 {
 		return Cols{}
 	}
 	return s.tableCols(i)
 }
 
-// Tables calls fn for every table in directory order, faulting each.
+// Table returns the L^α_β entries as a fresh row-major transpose of
+// TableCols, built on every call and never cached. It exists to satisfy
+// TableSource; readers go through TableCols.
+func (s *Snapshot) Table(alpha, beta int32) []Entry {
+	return s.TableCols(alpha, beta).Entries()
+}
+
+// Tables calls fn for every table in directory order, faulting each and
+// transposing it like Table.
 func (s *Snapshot) Tables(fn func(alpha, beta int32, entries []Entry) bool) {
 	for i := range s.dir {
-		if !fn(s.dir[i].alpha, s.dir[i].beta, s.table(i)) {
+		if !fn(s.dir[i].alpha, s.dir[i].beta, s.tableCols(i).Entries()) {
 			return
 		}
 	}
@@ -762,19 +635,11 @@ func (s *Snapshot) ComputeStats() Stats {
 // the platform cannot map or reinterpret the file in place.
 func (s *Snapshot) Mode() SnapMode { return s.mode }
 
-// Version returns the on-disk format version: 1 for row-major KTPMSNAP1,
-// 2 for columnar KTPMSNAP2.
-func (s *Snapshot) Version() int { return int(s.version) }
-
-// Format returns the CLI/stats spelling of the on-disk format ("v1",
-// "v2").
-func (s *Snapshot) Format() string { return fmt.Sprintf("v%d", s.version) }
-
-// ColsNative reports whether column views are the snapshot's primary
-// representation (KTPMSNAP2): TableCols reads the on-disk columns while
-// Table pays a row-major materialization. On a v1 file it is false and
-// TableCols serves nothing. See NativeCols.
-func (s *Snapshot) ColsNative() bool { return s.version >= 2 }
+// Version returns the on-disk format version, always 2: KTPMSNAP2 is the
+// only format OpenSnapshotFile accepts.
+//
+// Deprecated: there is one format; nothing needs to branch on it.
+func (s *Snapshot) Version() int { return snapFormatVersion }
 
 // TablesLoaded returns how many tables have been faulted so far — the
 // counter behind IOStats.SnapshotTablesLoaded. Right after a lazy or
@@ -795,11 +660,8 @@ func (s *Snapshot) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Drop the published tables before unmapping, so a (disallowed but
-	// cheap to defend) post-Close Table observes the closed state
+	// cheap to defend) post-Close read observes the closed state
 	// instead of reading unmapped memory.
-	for i := range s.tabs {
-		s.tabs[i].Store(nil)
-	}
 	for i := range s.cols {
 		s.cols[i].Store(nil)
 	}

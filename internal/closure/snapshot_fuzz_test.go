@@ -3,6 +3,7 @@ package closure
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,45 +11,16 @@ import (
 	"ktpm/internal/gen"
 )
 
-// FuzzOpenSnapshot pins the KTPMSNAP1 decoder against hostile files: no
-// byte sequence may panic OpenSnapshotFile or the fault path behind it.
-// Accepted files must serve their directory and every table without
+// FuzzOpenSnapshotV2 pins the KTPMSNAP2 decoder against hostile files:
+// no byte sequence may panic OpenSnapshotFile or the fault path behind
+// it. Accepted files must serve their directory and every table without
 // crashing — corruption the open-time validation cannot see (payload
-// bytes in lazy mode) surfaces through the sticky Err, never a panic.
-// Seeds are a valid snapshot of a small closure plus targeted header
-// mutations; the committed corpus under testdata/fuzz extends them.
-func FuzzOpenSnapshot(f *testing.F) {
-	g := gen.ErdosRenyi(12, 30, 3, 7)
-	c := Compute(g, Options{})
-	var valid bytes.Buffer
-	if err := WriteSnapshot(&valid, c); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid.Bytes())
-	// Truncations at structural boundaries.
-	for _, n := range []int{0, 5, snapHeaderSize - 1, snapHeaderSize, valid.Len() / 2, valid.Len() - 3} {
-		if n <= valid.Len() {
-			f.Add(valid.Bytes()[:n])
-		}
-	}
-	// Field-level mutations: version, counts, offsets, magic.
-	for _, off := range []int{0, 10, 18, 26, 34, 42, 50} {
-		b := append([]byte(nil), valid.Bytes()...)
-		binary.LittleEndian.PutUint32(b[off:], 0xfeedface)
-		f.Add(b)
-	}
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzOpenSnapshot(t, data)
-	})
-}
-
-// FuzzOpenSnapshotV2 is FuzzOpenSnapshot for the columnar KTPMSNAP2
-// decoder: seeds are a valid v2 snapshot plus targeted damage to the
+// bytes in lazy mode) surfaces through the sticky Err, never a panic —
+// and anything carrying the retired KTPMSNAP1 magic must fail with
+// ErrRetiredFormat. Seeds are a valid snapshot plus targeted damage to the
 // column machinery — bad magic, truncated columns, directory offsets and
-// counts past EOF, misaligned column starts — and the invariant is the
-// same: hostile bytes are rejected or served with a sticky Err, never a
-// panic, through both the row (Table) and column (TableCols) paths.
+// counts past EOF, misaligned column starts — and a bare KTPMSNAP1
+// header.
 func FuzzOpenSnapshotV2(f *testing.F) {
 	g := gen.ErdosRenyi(12, 30, 3, 7)
 	c := Compute(g, Options{})
@@ -86,15 +58,19 @@ func FuzzOpenSnapshotV2(f *testing.F) {
 			f.Add(b)
 		}
 	}
+	v1 := make([]byte, snapHeaderSize)
+	copy(v1, snapMagicV1)
+	binary.LittleEndian.PutUint32(v1[10:14], 1)
+	f.Add(v1)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzOpenSnapshot(t, data)
 	})
 }
 
-// fuzzOpenSnapshot is the shared fuzz body: open in lazy and eager
-// modes, fault every table through rows and columns, and require every
-// outcome to be a rejection or a sticky Err — never a panic.
+// fuzzOpenSnapshot is the fuzz body: open in lazy and eager modes,
+// fault every table through rows and columns, and require every outcome
+// to be a rejection or a sticky Err — never a panic.
 func fuzzOpenSnapshot(t *testing.T, data []byte) {
 	path := filepath.Join(t.TempDir(), "fuzz.snap")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -102,6 +78,9 @@ func fuzzOpenSnapshot(t *testing.T, data []byte) {
 	}
 	for _, mode := range []SnapMode{SnapLazy, SnapEager} {
 		s, err := OpenSnapshotFile(path, mode)
+		if bytes.HasPrefix(data, snapMagicV1) && !errors.Is(err, ErrRetiredFormat) {
+			t.Fatalf("KTPMSNAP1 input: got %v, want ErrRetiredFormat", err)
+		}
 		if err != nil {
 			continue // rejected files just need to not panic
 		}

@@ -45,7 +45,7 @@ func TestDistributedE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := closure.WriteSnapshot(f, c); err != nil {
+	if err := closure.WriteSnapshotV2(f, c); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

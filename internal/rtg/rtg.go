@@ -248,11 +248,11 @@ func sortInt32s(a []int32) {
 }
 
 func forEachClosureEntry(c closure.TableSource, alpha, beta int32, fn func(closure.Entry)) {
-	if cs, ok := closure.NativeCols(c); ok {
-		// Columnar source (v2 snapshot): walk the column views directly.
-		// Table() on such a source would materialize and cache a row-major
-		// copy of every table touched; the lane loop reassembles entries
-		// from columns that are already resident (zero-copy under mmap).
+	if cs, ok := c.(closure.ColumnSource); ok {
+		// Column source (snapshot, live epoch): walk the column views
+		// directly. Table() on such a source is a transpose per call; the
+		// lane loop reassembles entries from columns that are already
+		// resident (zero-copy under mmap).
 		forEachColsEntry(cs, alpha, beta, fn)
 		return
 	}
@@ -273,7 +273,7 @@ func forEachClosureEntry(c closure.TableSource, alpha, beta int32, fn func(closu
 	}
 }
 
-// forEachColsEntry is forEachClosureEntry over a native column source:
+// forEachColsEntry is forEachClosureEntry over a column source:
 // tables are selected via the directory (TableLens never loads payloads)
 // and iterated lane by lane from their column views.
 func forEachColsEntry(cs closure.ColumnSource, alpha, beta int32, fn func(closure.Entry)) {

@@ -70,14 +70,11 @@ type coordinatorStater interface {
 // would cost. The zero value reports nothing.
 type StartupInfo struct {
 	// Source is "graph" (closure built at startup) or "snapshot"
-	// (KTPMSNAP1/2).
+	// (KTPMSNAP2).
 	Source string `json:"source"`
 	// SnapshotMode is the effective snapshot backing ("eager", "lazy",
 	// "mmap"); empty for non-snapshot sources.
 	SnapshotMode string `json:"snapshot_mode,omitempty"`
-	// SnapshotFormat is the on-disk snapshot layout ("v1" row-major,
-	// "v2" columnar); empty for non-snapshot sources.
-	SnapshotFormat string `json:"snapshot_format,omitempty"`
 	// OpenMS is the wall time spent building or opening the database
 	// before serving could begin.
 	OpenMS float64 `json:"open_ms"`
@@ -953,9 +950,9 @@ type StatsResponse struct {
 	// took (ktpmd -graph builds, -snapshot opens in the configured
 	// mode).
 	Startup StartupInfo `json:"startup"`
-	// Snapshot reports the snapshot backing — on-disk format, effective mode, tables
+	// Snapshot reports the snapshot backing — effective mode, tables
 	// faulted so far out of the directory total, mapped bytes — when the
-	// backend was opened from a KTPMSNAP1/2 snapshot; omitted otherwise.
+	// backend was opened from a snapshot; omitted otherwise.
 	Snapshot *ktpm.SnapshotStats `json:"snapshot,omitempty"`
 	// Ingest reports the crash-safe write path — WAL, epoch overlay, and
 	// background compaction — when the backend is a live (writable)

@@ -11,7 +11,7 @@ import (
 	"ktpm"
 )
 
-// snapshotBackend reopens the standard test database from a KTPMSNAP1
+// snapshotBackend reopens the standard test database from a
 // snapshot in the given mode.
 func snapshotBackend(t testing.TB, mode ktpm.SnapshotMode) *ktpm.Database {
 	t.Helper()

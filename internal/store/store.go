@@ -335,11 +335,11 @@ func cloneCarved(p *map[pairKey]*colTab) map[pairKey]*colTab {
 
 // carveTableLocked faults the (alpha, beta) table from the source and
 // adds its colTab to into. Callers hold lay.mu and publish into
-// afterwards. A source whose native form is columns (a v2 snapshot) is
-// carved from TableCols; every other source by one pass over its Table
-// rows. Either way the lanes are written straight into the colTab's own
-// columns, so no transposed copy of the table is ever cached beside it.
-// It reports
+// afterwards. A ColumnSource (a snapshot, or a live epoch's
+// MergedSource) is carved from TableCols; the row-major *Closure by one
+// pass over its Table rows. Either way the lanes are written straight
+// into the colTab's own columns, so no transposed copy of the table is
+// ever cached beside it. It reports
 // whether the table arrived whole: a lazy source that hits a fault-time
 // load failure serves the table as empty, and caching that as carved
 // would silently drop the table's edges for the process lifetime — a
@@ -347,7 +347,7 @@ func cloneCarved(p *map[pairKey]*colTab) map[pairKey]*colTab {
 // later touch refaults it.
 func (lay *layout) carveTableLocked(alpha, beta int32, into map[pairKey]*colTab) bool {
 	var t *colTab
-	if cs, ok := closure.NativeCols(lay.src); ok {
+	if cs, ok := lay.src.(closure.ColumnSource); ok {
 		cols := cs.TableCols(alpha, beta)
 		t = newColTab(cols.Len())
 		for i := range cols.To {

@@ -44,15 +44,15 @@
 // # Snapshots
 //
 // The offline closure computation is paid once: SaveSnapshot writes a
-// page-aligned, offset-indexed KTPMSNAP1 image that OpenSnapshot can
-// reopen eagerly, lazily (tables fault in on first touch), or via mmap
-// (zero-copy table views) — the lazy modes open in O(directory) time,
-// so a daemon restart over a big graph is near-instant. SaveSnapshotAs
-// can instead write the columnar KTPMSNAP2 layout (per-table to/dist/
-// from columns), which OpenSnapshot detects by magic. Every database —
-// built in memory, opened from either format, or published by Live —
-// serves through the same columnar block store, so all modes and both
-// formats answer queries byte-identically to BuildDatabase.
+// page-aligned, offset-indexed KTPMSNAP2 image — each closure table
+// stored as to/dist/from columns — that OpenSnapshot can reopen eagerly,
+// lazily (tables fault in on first touch), or via mmap (zero-copy column
+// views). The lazy modes open in O(directory) time, so a daemon restart
+// over a big graph is near-instant. Every database — built in memory,
+// opened from a snapshot, or published by Live — serves through the same
+// columnar block store, so all modes answer queries byte-identically to
+// BuildDatabase. Files in the retired row-major KTPMSNAP1 layout are
+// rejected at open with a message naming the conversion command.
 package ktpm
 
 import (
@@ -154,7 +154,7 @@ type DatabaseOptions struct {
 type Database struct {
 	g    *graph.Graph
 	c    closure.TableSource
-	snap *closure.Snapshot // non-nil when opened from a KTPMSNAP1/2 file
+	snap *closure.Snapshot // non-nil when opened from a snapshot file
 	st   *store.Store
 	opt  DatabaseOptions
 }
@@ -224,65 +224,34 @@ type SnapshotOptions struct {
 	BlockSize int
 }
 
-// SnapshotFormat selects the on-disk layout SaveSnapshotAs writes.
+// SnapshotFormat named an on-disk snapshot layout when there were two.
+//
+// Deprecated: KTPMSNAP2 is the only format; values are ignored.
 type SnapshotFormat int
 
-const (
-	// SnapshotV1 is the row-major KTPMSNAP1 layout: each table is a run
-	// of (From, To, Dist) triples. The compatibility default.
-	SnapshotV1 SnapshotFormat = iota
-	// SnapshotV2 is the columnar KTPMSNAP2 layout: each table stores
-	// to[], dist[], and from[] as separate contiguous little-endian
-	// columns behind the same directory. The store carves a v2 table
-	// straight from its columns (read zero-copy under mmap) instead of
-	// transposing rows; results are byte-identical to v1.
-	SnapshotV2
-)
+// SnapshotV2 is the columnar KTPMSNAP2 layout, the only one written.
+//
+// Deprecated: KTPMSNAP2 is the only format; use SaveSnapshot.
+const SnapshotV2 SnapshotFormat = 2
 
-// String returns the CLI spelling ("v1", "v2"); ParseSnapshotFormat
-// accepts it back.
-func (f SnapshotFormat) String() string {
-	if f == SnapshotV2 {
-		return "v2"
-	}
-	return "v1"
-}
-
-// ParseSnapshotFormat resolves the CLI/service spelling of a snapshot
-// format ("v1", "v2", case-insensitive); ok is false for unknown names,
-// including the empty string.
-func ParseSnapshotFormat(name string) (SnapshotFormat, bool) {
-	switch strings.ToLower(name) {
-	case "v1":
-		return SnapshotV1, true
-	case "v2":
-		return SnapshotV2, true
-	}
-	return 0, false
-}
-
-// SaveSnapshot writes db as a KTPMSNAP1 snapshot: a page-aligned,
+// SaveSnapshot writes db as a KTPMSNAP2 snapshot: a page-aligned,
 // offset-indexed image of the graph and closure with a table directory
-// up front, openable eagerly, lazily, or via mmap (see OpenSnapshot).
-// Saving from a lazy or mmap database faults every table once; the
-// closure is never recomputed. Output is deterministic for a given
-// closure.
+// up front and each table stored as to/dist/from columns, openable
+// eagerly, lazily, or via mmap (see OpenSnapshot). Saving from a lazy or
+// mmap database faults every table once; the closure is never
+// recomputed. Output is deterministic for a given closure.
 func SaveSnapshot(w io.Writer, db *Database) error {
-	return closure.WriteSnapshot(w, db.c)
+	return closure.WriteSnapshotV2(w, db.c)
 }
 
-// SaveSnapshotAs is SaveSnapshot with an explicit on-disk format:
-// SnapshotV1 writes the row-major KTPMSNAP1 image, SnapshotV2 the
-// columnar KTPMSNAP2 one. OpenSnapshot detects either by magic.
+// SaveSnapshotAs is SaveSnapshot; format is ignored.
+//
+// Deprecated: KTPMSNAP2 is the only format; use SaveSnapshot.
 func SaveSnapshotAs(w io.Writer, db *Database, format SnapshotFormat) error {
-	if format == SnapshotV2 {
-		return closure.WriteSnapshotV2(w, db.c)
-	}
-	return closure.WriteSnapshot(w, db.c)
+	return SaveSnapshot(w, db)
 }
 
-// OpenSnapshot opens a KTPMSNAP1 or KTPMSNAP2 snapshot written by
-// SaveSnapshot or SaveSnapshotAs, detecting the format by magic. In
+// OpenSnapshot opens a KTPMSNAP2 snapshot written by SaveSnapshot. In
 // SnapshotLazy and SnapshotMMap modes it returns in O(directory) time —
 // the graph and table directory are read, but no closure table is
 // touched until a query faults it — so a daemon over a big graph starts
@@ -294,7 +263,8 @@ func SaveSnapshotAs(w io.Writer, db *Database, format SnapshotFormat) error {
 // once queries have stopped. Corruption in the header, graph, or
 // directory fails here; payload corruption fails at open only in eager
 // mode, and in lazy/mmap modes surfaces as an error from SnapshotStats
-// once the damaged table faults.
+// once the damaged table faults. A file in the retired KTPMSNAP1 layout
+// fails with an error that names the commands converting it.
 func OpenSnapshot(path string, opt SnapshotOptions) (*Database, error) {
 	snap, err := closure.OpenSnapshotFile(path, closure.SnapMode(opt.Mode))
 	if err != nil {
@@ -331,9 +301,6 @@ type SnapshotStats struct {
 	// Mode is the effective backing mode ("eager", "lazy", "mmap") —
 	// what a requested mmap degraded to on platforms without it.
 	Mode string `json:"mode"`
-	// Format is the on-disk layout the snapshot was written in: "v1"
-	// (row-major KTPMSNAP1) or "v2" (columnar KTPMSNAP2).
-	Format string `json:"format"`
 	// TablesLoaded counts closure tables faulted from the snapshot so
 	// far; directly after a lazy or mmap open it is 0.
 	TablesLoaded int64 `json:"tables_loaded"`
@@ -354,7 +321,6 @@ func (db *Database) SnapshotStats() (SnapshotStats, bool) {
 	}
 	st := SnapshotStats{
 		Mode:         db.snap.Mode().String(),
-		Format:       db.snap.Format(),
 		TablesLoaded: db.snap.TablesLoaded(),
 		TablesTotal:  int64(db.snap.NumTables()),
 		BytesMapped:  db.snap.BytesMapped(),

@@ -121,7 +121,9 @@ type LiveConfig struct {
 	// background compaction; 0 means 100000, negative disables
 	// compaction entirely (the WAL grows unboundedly).
 	CompactThreshold int
-	// SnapshotFormat is the on-disk layout of compacted generations.
+	// SnapshotFormat is ignored: generations are always KTPMSNAP2.
+	//
+	// Deprecated: KTPMSNAP2 is the only format.
 	SnapshotFormat SnapshotFormat
 	// SnapshotMode is how compacted generations are opened for serving;
 	// the zero value is SnapshotEager.
@@ -166,7 +168,6 @@ type pendingBatch struct {
 // or runs out, so an unclosed stream keeps its generation open.
 type Live struct {
 	dir       string
-	format    SnapshotFormat
 	mode      SnapshotMode
 	threshold int
 	blockSize int
@@ -322,7 +323,6 @@ func OpenLive(db *Database, cfg LiveConfig) (*Live, error) {
 	}
 	l := &Live{
 		dir:         cfg.Dir,
-		format:      cfg.SnapshotFormat,
 		mode:        cfg.SnapshotMode,
 		threshold:   threshold,
 		blockSize:   db.opt.BlockSize,
@@ -662,10 +662,7 @@ func (l *Live) compact() error {
 	name := liveGenName(gen)
 	path := filepath.Join(l.dir, name)
 	err = fsio.WriteFileAtomic(path, func(out io.Writer) error {
-		if l.format == SnapshotV2 {
-			return closure.WriteSnapshotV2(out, src)
-		}
-		return closure.WriteSnapshot(out, src)
+		return closure.WriteSnapshotV2(out, src)
 	})
 	if err != nil {
 		return fmt.Errorf("writing %s: %w", name, err)
@@ -943,7 +940,6 @@ func (l *Live) SnapshotStats() (SnapshotStats, bool) {
 	snap := ep.gen.snap
 	st := SnapshotStats{
 		Mode:         snap.Mode().String(),
-		Format:       snap.Format(),
 		TablesLoaded: snap.TablesLoaded(),
 		TablesTotal:  int64(snap.NumTables()),
 		BytesMapped:  snap.BytesMapped(),

@@ -1,8 +1,10 @@
 package ktpm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,6 +13,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"ktpm/internal/closure"
 )
 
 // liveBase generates a reproducible base graph as raw parts, so tests
@@ -116,20 +120,29 @@ func assertLiveMatchesReference(t *testing.T, tag string, live *Live, ref *Datab
 // TestLiveMatchesRebuild is the write-path result-identity property:
 // after every ingest batch, and both before and after compaction, the
 // overlay-merged serving state must answer byte-identically to a
-// from-scratch BuildDatabase over base+delta edges — across snapshot
-// formats, generation backing modes, and shard counts {1, 2, 4}.
+// from-scratch BuildDatabase over base+delta edges — across generation
+// backing modes and shard counts {1, 2, 4}. Subtests are named by
+// configuration and mode: "v1" is the zero LiveConfig.SnapshotFormat,
+// which wrote KTPMSNAP1 generations before that format was retired, and
+// "v2" sets the deprecated SnapshotV2. Both must now write KTPMSNAP2
+// generations.
 func TestLiveMatchesRebuild(t *testing.T) {
-	for _, format := range []SnapshotFormat{SnapshotV1, SnapshotV2} {
+	configs := []struct {
+		name   string
+		format SnapshotFormat
+	}{{"v1", 0}, {"v2", SnapshotV2}}
+	for _, cfg := range configs {
 		for _, mode := range allSnapshotModes {
-			t.Run(fmt.Sprintf("%v/%v", format, mode), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%v", cfg.name, mode), func(t *testing.T) {
+				dir := t.TempDir()
 				rng := rand.New(rand.NewSource(91))
 				labels, baseEdges := liveBase(rng, 60)
 				boot := buildLiveDB(t, labels, baseEdges)
 				live, err := OpenLive(boot, LiveConfig{
-					Dir:              t.TempDir(),
+					Dir:              dir,
 					Fsync:            "never", // durability is exercised elsewhere; keep the property loop fast
 					CompactThreshold: -1,      // compaction is driven explicitly below
-					SnapshotFormat:   format,
+					SnapshotFormat:   cfg.format,
 					SnapshotMode:     mode,
 				})
 				if err != nil {
@@ -164,6 +177,7 @@ func TestLiveMatchesRebuild(t *testing.T) {
 				if st.Overlay.Watermark != st.LastLSN {
 					t.Fatalf("watermark %d != last lsn %d after compaction", st.Overlay.Watermark, st.LastLSN)
 				}
+				assertGenerationV2(t, dir)
 				ref := buildLiveDB(t, labels, all)
 				assertLiveMatchesReference(t, "post-compaction", live, ref)
 
@@ -181,6 +195,94 @@ func TestLiveMatchesRebuild(t *testing.T) {
 	}
 }
 
+// assertGenerationV2 requires the generation CURRENT names in dir to be
+// a KTPMSNAP2 file.
+func assertGenerationV2(t *testing.T, dir string) {
+	t.Helper()
+	cur, err := os.ReadFile(filepath.Join(dir, "CURRENT"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := strings.Fields(string(cur))
+	if len(fields) == 0 {
+		t.Fatalf("empty CURRENT %q", cur)
+	}
+	f, err := os.Open(filepath.Join(dir, fields[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	magic := make([]byte, 10)
+	if _, err := io.ReadFull(f, magic); err != nil {
+		t.Fatal(err)
+	}
+	if string(magic) != "KTPMSNAP2\n" {
+		t.Fatalf("generation %s has magic %q, want KTPMSNAP2", fields[0], magic)
+	}
+}
+
+// TestOpenLiveRejectsV1Generation: when CURRENT names a generation in
+// the retired KTPMSNAP1 layout, OpenLive fails with the error naming
+// the format and its conversion, and leaves the directory exactly as it
+// found it — the generation, a stale one beside it, and the WAL.
+func TestOpenLiveRejectsV1Generation(t *testing.T) {
+	dir := t.TempDir()
+	writeV1Header(t, dir, "gen-00000001.snap")
+	writeV1Header(t, dir, "gen-00000000.snap")
+	if err := os.WriteFile(filepath.Join(dir, "CURRENT"), []byte("gen-00000001.snap 3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "wal"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "wal", "wal-0000000000000004.log"), []byte("KTPMWAL1"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	listing := func() []string {
+		var out []string
+		filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
+			if err != nil {
+				t.Fatal(err)
+			}
+			info, err := d.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, fmt.Sprintf("%s %d", p, info.Size()))
+			return nil
+		})
+		return out
+	}
+	before := listing()
+	rng := rand.New(rand.NewSource(3))
+	labels, edges := liveBase(rng, 20)
+	live, err := OpenLive(buildLiveDB(t, labels, edges), LiveConfig{Dir: dir, Fsync: "never", CompactThreshold: -1})
+	if err == nil {
+		live.Close()
+		t.Fatal("OpenLive restored a KTPMSNAP1 generation")
+	}
+	if !errors.Is(err, closure.ErrRetiredFormat) {
+		t.Fatalf("got %v, want closure.ErrRetiredFormat", err)
+	}
+	if after := listing(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("failed OpenLive changed the directory:\n before %v\n after  %v", before, after)
+	}
+}
+
+// writeV1Header writes a bare 64-byte KTPMSNAP1 header at dir/name — all
+// a reader needs to see to recognize the retired format.
+func writeV1Header(t *testing.T, dir, name string) string {
+	t.Helper()
+	hdr := make([]byte, 64)
+	copy(hdr, "KTPMSNAP1\n")
+	binary.LittleEndian.PutUint32(hdr[10:14], 1)
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestLiveRecovery closes and reopens the write path at every stage:
 // WAL-only (replay rebuilds the overlay), post-compaction (CURRENT
 // restores the generation), and post-compaction-plus-tail. Every
@@ -189,7 +291,7 @@ func TestLiveRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	labels, baseEdges := liveBase(rng, 50)
 	dir := t.TempDir()
-	cfg := LiveConfig{Dir: dir, Fsync: "always", CompactThreshold: -1, SnapshotFormat: SnapshotV2, SnapshotMode: SnapshotLazy}
+	cfg := LiveConfig{Dir: dir, Fsync: "always", CompactThreshold: -1, SnapshotMode: SnapshotLazy}
 
 	open := func() *Live {
 		t.Helper()
@@ -336,7 +438,7 @@ func TestLiveConcurrentQueryIngest(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	labels, baseEdges := liveBase(rng, 60)
 	live, err := OpenLive(buildLiveDB(t, labels, baseEdges), LiveConfig{
-		Dir: t.TempDir(), Fsync: "never", CompactThreshold: 200, SnapshotFormat: SnapshotV2, SnapshotMode: SnapshotMMap,
+		Dir: t.TempDir(), Fsync: "never", CompactThreshold: 200, SnapshotMode: SnapshotMMap,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -487,7 +589,7 @@ func snapHandles(t *testing.T, dir string) (fds, maps int, ok bool) {
 	return fds, maps, true
 }
 
-// openLiveOverSnapshot writes the base as a v2 snapshot, opens it in
+// openLiveOverSnapshot writes the base as a snapshot, opens it in
 // mode, and hands it to OpenLive, so the boot base is itself a
 // generation Live must release.
 func openLiveOverSnapshot(t *testing.T, dir string, mode SnapshotMode, labels []string, edges []IngestEdge) *Live {
@@ -497,7 +599,7 @@ func openLiveOverSnapshot(t *testing.T, dir string, mode SnapshotMode, labels []
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveSnapshotAs(f, buildLiveDB(t, labels, edges), SnapshotV2); err != nil {
+	if err := SaveSnapshot(f, buildLiveDB(t, labels, edges)); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -509,7 +611,7 @@ func openLiveOverSnapshot(t *testing.T, dir string, mode SnapshotMode, labels []
 	}
 	live, err := OpenLive(db, LiveConfig{
 		Dir: filepath.Join(dir, "wal"), Fsync: "never", CompactThreshold: -1,
-		SnapshotFormat: SnapshotV2, SnapshotMode: mode,
+		SnapshotMode: mode,
 	})
 	if err != nil {
 		db.Close()

@@ -1,6 +1,8 @@
 package ktpm
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -105,47 +107,6 @@ func TestSnapshotModesMatchBuildDatabase(t *testing.T) {
 	}
 }
 
-// TestSnapshotAlgorithmsAgree pins the non-default algorithms (which
-// materialize through the TableSource rather than the store) to the
-// original database on a snapshot opened in every mode.
-func TestSnapshotAlgorithmsAgree(t *testing.T) {
-	db := randomDatabase(t, 70, 9)
-	path := saveTestSnapshot(t, db)
-	q, err := db.ParseQuery("a(b,c)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := db.TopKWith(q, 25, Options{Algorithm: AlgoTopk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range allSnapshotModes {
-		sdb, err := OpenSnapshot(path, SnapshotOptions{Mode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sq, err := sdb.ParseQuery("a(b,c)")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, algo := range []Algorithm{AlgoTopk, AlgoDPB, AlgoDPP} {
-			got, err := sdb.TopKWith(sq, 25, Options{Algorithm: algo})
-			if err != nil {
-				t.Fatalf("%v/%v: %v", mode, algo, err)
-			}
-			for i := range want {
-				if got[i].Score != want[i].Score {
-					t.Fatalf("%v/%v: score[%d]=%d, want %d", mode, algo, i, got[i].Score, want[i].Score)
-				}
-			}
-		}
-		if got := sdb.CountMatches(sq); got != db.CountMatches(q) {
-			t.Fatalf("%v: CountMatches %d, want %d", mode, got, db.CountMatches(q))
-		}
-		sdb.Close()
-	}
-}
-
 // TestSnapshotLazyOpenDoesNoTableWork pins the O(directory) open
 // contract: in lazy and mmap modes no closure table may be materialized
 // at open — neither by the snapshot reader nor by the store layout — and
@@ -246,10 +207,93 @@ func TestSnapshotSharedAcrossReplicas(t *testing.T) {
 	}
 }
 
-// TestSnapshotReencode pins format interoperability: a lazily opened
-// snapshot re-encodes to a fresh byte-identical KTPMSNAP1 snapshot
-// without recomputing the closure, and the re-encoded file answers like
-// the database it came from.
+// TestParseSnapshotMode covers the CLI spelling round trip.
+func TestParseSnapshotMode(t *testing.T) {
+	for _, mode := range allSnapshotModes {
+		got, ok := ParseSnapshotMode(mode.String())
+		if !ok || got != mode {
+			t.Fatalf("ParseSnapshotMode(%q) = %v, %v", mode.String(), got, ok)
+		}
+	}
+	if _, ok := ParseSnapshotMode(""); ok {
+		t.Fatal("empty mode accepted")
+	}
+	if _, ok := ParseSnapshotMode("paged"); ok {
+		t.Fatal("unknown mode accepted")
+	}
+}
+
+// checkSnapshotAlgorithmsAgree pins the non-default algorithms — which
+// materialize through the TableSource (the rtg column path) rather than
+// the store — to the original database on a snapshot written by save and
+// opened in every mode.
+func checkSnapshotAlgorithmsAgree(t *testing.T, save func(w io.Writer, db *Database) error) {
+	t.Helper()
+	db := randomDatabase(t, 70, 9)
+	path := filepath.Join(t.TempDir(), "db.snap")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := save(f, db); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	q, err := db.ParseQuery("a(b,c)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := db.TopKWith(q, 25, Options{Algorithm: AlgoTopk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range allSnapshotModes {
+		sdb, err := OpenSnapshot(path, SnapshotOptions{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sq, err := sdb.ParseQuery("a(b,c)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, algo := range []Algorithm{AlgoTopk, AlgoDPB, AlgoDPP} {
+			got, err := sdb.TopKWith(sq, 25, Options{Algorithm: algo})
+			if err != nil {
+				t.Fatalf("%v/%v: %v", mode, algo, err)
+			}
+			for i := range want {
+				if got[i].Score != want[i].Score {
+					t.Fatalf("%v/%v: score[%d]=%d, want %d", mode, algo, i, got[i].Score, want[i].Score)
+				}
+			}
+		}
+		if got := sdb.CountMatches(sq); got != db.CountMatches(q) {
+			t.Fatalf("%v: CountMatches %d, want %d", mode, got, db.CountMatches(q))
+		}
+		sdb.Close()
+	}
+}
+
+// TestSnapshotAlgorithmsAgree runs the algorithm check on a file written
+// by SaveSnapshot.
+func TestSnapshotAlgorithmsAgree(t *testing.T) {
+	checkSnapshotAlgorithmsAgree(t, SaveSnapshot)
+}
+
+// TestSnapshotV2AlgorithmsAgree runs it on a file written by the
+// deprecated SaveSnapshotAs(…, SnapshotV2), which perfbench still calls.
+func TestSnapshotV2AlgorithmsAgree(t *testing.T) {
+	checkSnapshotAlgorithmsAgree(t, func(w io.Writer, db *Database) error {
+		return SaveSnapshotAs(w, db, SnapshotV2)
+	})
+}
+
+// TestSnapshotReencode pins re-encoding: a lazily opened snapshot
+// re-encodes through SaveSnapshot to a byte-identical snapshot without
+// recomputing the closure, and the re-encoded file answers like the
+// database it came from.
 func TestSnapshotReencode(t *testing.T) {
 	db := randomDatabase(t, 60, 13)
 	path := saveTestSnapshot(t, db)
@@ -267,7 +311,7 @@ func TestSnapshotReencode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, b) {
+	if !bytes.Equal(a, b) {
 		t.Fatal("snapshot of a snapshot-backed database is not byte-identical")
 	}
 
@@ -288,18 +332,34 @@ func TestSnapshotReencode(t *testing.T) {
 	}
 }
 
-// TestParseSnapshotMode covers the CLI spelling round trip.
-func TestParseSnapshotMode(t *testing.T) {
-	for _, mode := range allSnapshotModes {
-		got, ok := ParseSnapshotMode(mode.String())
-		if !ok || got != mode {
-			t.Fatalf("ParseSnapshotMode(%q) = %v, %v", mode.String(), got, ok)
-		}
+// TestSnapshotV2Reencode pins the deprecated SaveSnapshotAs: from the
+// in-memory database and from an mmap-opened snapshot of it (columns
+// streamed straight from the mapping) it writes the bytes SaveSnapshot
+// writes.
+func TestSnapshotV2Reencode(t *testing.T) {
+	db := randomDatabase(t, 60, 13)
+	path := saveTestSnapshot(t, db)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := ParseSnapshotMode(""); ok {
-		t.Fatal("empty mode accepted")
+	var fromDB bytes.Buffer
+	if err := SaveSnapshotAs(&fromDB, db, SnapshotV2); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := ParseSnapshotMode("paged"); ok {
-		t.Fatal("unknown mode accepted")
+	if !bytes.Equal(fromDB.Bytes(), want) {
+		t.Fatal("SaveSnapshotAs wrote different bytes than SaveSnapshot")
+	}
+	mdb, err := OpenSnapshot(path, SnapshotOptions{Mode: SnapshotMMap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mdb.Close()
+	var fromMMap bytes.Buffer
+	if err := SaveSnapshotAs(&fromMMap, mdb, SnapshotV2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fromMMap.Bytes(), want) {
+		t.Fatal("SaveSnapshotAs of an mmap-backed database is not byte-identical")
 	}
 }
